@@ -442,7 +442,7 @@ func BenchmarkClusterWorld(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("machines=%d/balancer=%s", machines, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					cs, err := runner.Run("SWRPT", ci, lb, 20_06)
+					cs, err := runner.Run("SWRPT", ci, lb, 20_06, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -491,7 +491,7 @@ func BenchmarkFaultyWorld(b *testing.B) {
 		b.Run(fmt.Sprintf("machines=%d", machines), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runner.ResetStats()
-				cs, err := runner.RunFaulty("SWRPT", ci, lb, 20_06, plan, fault.DefaultBackoff())
+				cs, err := runner.Run("SWRPT", ci, lb, 20_06, plan)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -27,16 +27,19 @@
 // `-shard k/n` jobs whose CSVs a final job concatenates, checks against a
 // `-dryrun` row count and the shards' per-point row digests (recomputed
 // from the merged file with `-fromcsv ... -digest`), and renders into
-// tables via `-fromcsv`. The cluster family (`-tables cluster`) — the
-// Srivastav–Trystram single-vs-parallel comparison over the load-balanced
-// cluster world — shards, digests and merges the same way, as does the
-// faults family (`-tables faults`), which charts max/mean retry-inflated
-// stretch against seeded machine-failure rates per balancer.
+// tables via `-fromcsv`. The cluster experiment family shards, digests and
+// merges the same way under two -tables names, each a grid, a scheduler
+// list and a view over the one (machines, balancer, density, rate) point
+// type: `-tables cluster` is the Srivastav–Trystram single-vs-parallel
+// comparison over the load-balanced cluster world, and `-tables faults`
+// charts max/mean retry-inflated stretch against seeded machine-failure
+// rates per balancer.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -68,15 +71,14 @@ func main() {
 	)
 	flag.Parse()
 
+	fam, isCluster := clusterFamilies[*tables]
 	switch {
 	case *verifyExact:
 		runVerifyExact(*runs, *seed, *target, *workers, *progress)
 	case *figure != "":
 		runFigure(*figure, *runs, *seed, *workers, *csvOut)
-	case *tables == "cluster":
-		runCluster(*runs, *seed, *target, *workers, *csvOut, *progress, *shard, *dryRun, *digest, *fromCSV)
-	case *tables == "faults":
-		runFaults(*runs, *seed, *target, *workers, *csvOut, *progress, *shard, *dryRun, *digest, *fromCSV)
+	case isCluster:
+		runCluster(*tables, fam, *runs, *seed, *target, *workers, *csvOut, *progress, *shard, *dryRun, *digest, *fromCSV)
 	case *fromCSV != "":
 		fromCSVMain(*tables, *table, *fromCSV, *digest)
 	case *tables == "all":
@@ -168,62 +170,60 @@ func parseShard(spec string) (k, n int, err error) {
 func tablesFromCSV(nums []int, path, digest string) {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer f.Close()
 	results, err := exp.ReadResultsCSV(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("# %d instances read from %s\n\n", len(results), path)
-	writeDigests(digest, results)
+	writeDigests(digest, func(w io.Writer) error {
+		return exp.WritePointDigests(w, results, core.Table1Names())
+	})
 	renderTables(nums, results)
-}
-
-// writeDigests writes per-point row digests to path (no-op when empty).
-func writeDigests(path string, results []exp.InstanceResult) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := exp.WritePointDigests(f, results, core.Table1Names()); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("# per-point row digests written to %s\n\n", path)
 }
 
 func renderTables(nums []int, results []exp.InstanceResult) {
 	for _, n := range nums {
 		spec, err := exp.TableByNumber(n)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		rows := exp.Aggregate(results, spec.Filter, core.Table1Names())
 		fmt.Println(exp.Render(fmt.Sprintf("Table %d: %s", spec.Number, spec.Title), rows))
 	}
 }
 
-func writeCSV(path string, fill func(*os.File) error) {
+// fatal reports err and exits nonzero.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(1)
+}
+
+// writeFile creates path, fills it and notes what it holds, exiting on any
+// error.
+func writeFile(path, what string, fill func(io.Writer) error) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	defer f.Close()
 	if err := fill(f); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	fmt.Printf("# raw metrics written to %s\n\n", path)
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("# %s written to %s\n\n", what, path)
+}
+
+func writeCSV(path string, fill func(io.Writer) error) { writeFile(path, "raw metrics", fill) }
+
+// writeDigests writes per-point row digests to path (no-op when empty).
+func writeDigests(path string, write func(io.Writer) error) {
+	if path != "" {
+		writeFile(path, "per-point row digests", write)
+	}
 }
 
 func allTableNumbers() []int {
@@ -253,14 +253,12 @@ func runTables(nums []int, runs int, seed int64, target int, horizon float64, wo
 	if fromTimes != "" {
 		f, err := os.Open(fromTimes)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		opts.MeasuredSeconds, err = exp.ReadPointTimes(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("# shard dispatch ordered by %d measured point times from %s\n\n",
 			len(opts.MeasuredSeconds), fromTimes)
@@ -288,18 +286,20 @@ func runTables(nums []int, runs int, seed int64, target int, horizon float64, wo
 	if csvOut != "" {
 		// The workers encode each shard's rows as they finish; the merged
 		// stream is byte-identical for any worker count.
-		writeCSV(csvOut, func(f *os.File) error {
+		writeCSV(csvOut, func(w io.Writer) error {
 			var err error
-			results, err = exp.RunGridCSV(f, points, opts)
+			results, err = exp.RunGridCSV(w, points, opts)
 			return err
 		})
 	} else {
 		results = exp.RunGrid(points, opts)
 	}
-	writeDigests(digest, results)
+	writeDigests(digest, func(w io.Writer) error {
+		return exp.WritePointDigests(w, results, core.Table1Names())
+	})
 	if times != "" {
-		writeCSV(times, func(f *os.File) error {
-			return exp.WritePointTimes(f, results)
+		writeCSV(times, func(w io.Writer) error {
+			return exp.WritePointTimes(w, results)
 		})
 	}
 	errCount, stretchErrs, refineErrs := 0, 0, 0
@@ -320,27 +320,42 @@ func runTables(nums []int, runs int, seed int64, target int, horizon float64, wo
 	renderTables(nums, results)
 }
 
-// runCluster is the cluster experiment family: the Srivastav–Trystram
-// single-vs-parallel comparison over the load-balanced cluster world. It
-// mirrors runTables' sharding, CSV streaming and digest contract, keyed on
-// (machines, balancer, density) points.
-func runCluster(runs int, seed int64, target, workers int, csvOut string, progress bool, shard string, dryRun bool, digest, fromCSV string) {
-	schedulers := exp.DefaultClusterSchedulers()
+// clusterFamily is one -tables view of the cluster experiment family: the
+// grid it runs, its local schedulers and its renderer.
+type clusterFamily struct {
+	grid       func() []exp.ClusterPoint
+	schedulers []string
+	render     func([]exp.ClusterResult, []string) string
+}
+
+// clusterFamilies maps -tables names to cluster family views. "faults"
+// runs SWRPT alone: under failures every local policy must account as
+// itself, and SWRPT is the paper's best-practice list policy.
+var clusterFamilies = map[string]clusterFamily{
+	"cluster": {exp.DefaultClusterGrid, exp.DefaultClusterSchedulers(), exp.RenderClusterTables},
+	"faults":  {exp.DefaultFaultGrid, []string{"SWRPT"}, exp.RenderFaultTables},
+}
+
+// runCluster runs the cluster family view registered as name. It mirrors
+// runTables' sharding, CSV streaming and digest contract, keyed on
+// (machines, balancer, density, rate) points.
+func runCluster(name string, fam clusterFamily, runs int, seed int64, target, workers int, csvOut string, progress bool, shard string, dryRun bool, digest, fromCSV string) {
+	var results []exp.ClusterResult
+	digests := func(w io.Writer) error {
+		return exp.WriteClusterPointDigests(w, results, fam.schedulers)
+	}
 	if fromCSV != "" {
 		f, err := os.Open(fromCSV)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer f.Close()
-		results, err := exp.ReadClusterCSV(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		if results, err = exp.ReadClusterCSV(f); err != nil {
+			fatal(err)
 		}
-		fmt.Printf("# %d cluster instances read from %s\n\n", len(results), fromCSV)
-		writeClusterDigests(digest, results, schedulers)
-		fmt.Println(exp.RenderClusterTables(results, schedulers))
+		fmt.Printf("# %d %s instances read from %s\n\n", len(results), name, fromCSV)
+		writeDigests(digest, digests)
+		fmt.Println(fam.render(results, fam.schedulers))
 		return
 	}
 
@@ -348,11 +363,12 @@ func runCluster(runs int, seed int64, target, workers int, csvOut string, progre
 	opts := exp.ClusterOptions{
 		Runs:       runs,
 		Seed:       seed,
+		Schedulers: fam.schedulers,
 		TargetJobs: target,
 		Workers:    workers,
 		DryRun:     dryRun,
 	}
-	points := exp.DefaultClusterGrid()
+	points := fam.grid()
 	shardK, shardN, err := parseShard(shard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -364,154 +380,38 @@ func runCluster(runs int, seed int64, target, workers int, csvOut string, progre
 	if progress {
 		opts.Progress = func(done, total int) {
 			if done%25 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\rcluster: %d/%d instances", done, total)
+				fmt.Fprintf(os.Stderr, "\r%s: %d/%d instances", name, done, total)
 				if done == total {
 					fmt.Fprintln(os.Stderr)
 				}
 			}
 		}
 	}
-	var results []exp.ClusterResult
 	if csvOut != "" {
-		writeCSV(csvOut, func(f *os.File) error {
+		writeCSV(csvOut, func(w io.Writer) error {
 			var err error
-			results, err = exp.RunClusterCSV(f, points, opts)
+			results, err = exp.RunClusterCSV(w, points, opts)
 			return err
 		})
 	} else {
 		results = exp.RunCluster(points, opts)
 	}
-	writeClusterDigests(digest, results, schedulers)
-	errCount := 0
-	for _, r := range results {
-		errCount += len(r.Errs)
-	}
-	fmt.Printf("# cluster: %d instances in %v (%d scheduler errors)\n\n",
-		len(results), time.Since(start).Round(time.Second), errCount)
-	if shardN > 1 || dryRun {
-		fmt.Printf("# table rendering skipped (shard %d/%d, dryrun=%v); use -fromcsv on the merged CSV\n",
-			shardK, shardN, dryRun)
-		return
-	}
-	fmt.Println(exp.RenderClusterTables(results, schedulers))
-}
-
-// runFaults is the faults experiment family: max/mean retry-inflated
-// stretch against seeded machine-failure rate per balancer, over the
-// fault-tolerant cluster world. Sharding, CSV streaming and digests follow
-// runCluster, keyed on (machines, balancer, rate) points.
-func runFaults(runs int, seed int64, target, workers int, csvOut string, progress bool, shard string, dryRun bool, digest, fromCSV string) {
-	if fromCSV != "" {
-		f, err := os.Open(fromCSV)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		results, scheduler, err := exp.ReadFaultsCSV(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# %d fault instances read from %s\n\n", len(results), fromCSV)
-		writeFaultDigests(digest, results, scheduler)
-		fmt.Println(exp.RenderFaultTables(results, scheduler))
-		return
-	}
-
-	start := time.Now()
-	opts := exp.FaultOptions{
-		Runs:       runs,
-		Seed:       seed,
-		TargetJobs: target,
-		Workers:    workers,
-		DryRun:     dryRun,
-	}
-	scheduler := opts.Scheduler
-	if scheduler == "" {
-		scheduler = "SWRPT"
-	}
-	points := exp.DefaultFaultGrid()
-	shardK, shardN, err := parseShard(shard)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	if shardN > 1 {
-		points, opts.PointIndices = exp.ShardPoints(points, shardK, shardN)
-	}
-	if progress {
-		opts.Progress = func(done, total int) {
-			if done%25 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\rfaults: %d/%d instances", done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
-	}
-	var results []exp.FaultResult
-	if csvOut != "" {
-		writeCSV(csvOut, func(f *os.File) error {
-			var err error
-			results, err = exp.RunFaultsCSV(f, points, opts)
-			return err
-		})
-	} else {
-		results = exp.RunFaults(points, opts)
-	}
-	writeFaultDigests(digest, results, scheduler)
+	writeDigests(digest, digests)
 	errCount, retries := 0, 0
 	for _, r := range results {
 		errCount += len(r.Errs)
-		retries += r.Retries
+		for _, s := range fam.schedulers {
+			retries += r.Retries[s]
+		}
 	}
-	fmt.Printf("# faults: %d instances in %v (%d scheduler errors, %d retries)\n\n",
-		len(results), time.Since(start).Round(time.Second), errCount, retries)
+	fmt.Printf("# %s: %d instances in %v (%d scheduler errors, %d retries)\n\n",
+		name, len(results), time.Since(start).Round(time.Second), errCount, retries)
 	if shardN > 1 || dryRun {
 		fmt.Printf("# table rendering skipped (shard %d/%d, dryrun=%v); use -fromcsv on the merged CSV\n",
 			shardK, shardN, dryRun)
 		return
 	}
-	fmt.Println(exp.RenderFaultTables(results, scheduler))
-}
-
-// writeFaultDigests writes faults per-point row digests (no-op when path
-// is empty).
-func writeFaultDigests(path string, results []exp.FaultResult, scheduler string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := exp.WriteFaultPointDigests(f, results, scheduler); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("# per-point row digests written to %s\n\n", path)
-}
-
-// writeClusterDigests writes cluster per-point row digests (no-op when
-// path is empty).
-func writeClusterDigests(path string, results []exp.ClusterResult, schedulers []string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := exp.WriteClusterPointDigests(f, results, schedulers); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("# per-point row digests written to %s\n\n", path)
+	fmt.Println(fam.render(results, fam.schedulers))
 }
 
 func runFigure(which string, runs int, seed int64, workers int, csvOut string) {
@@ -523,8 +423,8 @@ func runFigure(which string, runs int, seed int64, workers int, csvOut string) {
 	points := exp.RunFigure3(exp.Fig3Options{Runs: runs, Seed: seed, Workers: workers})
 	fmt.Printf("# figure 3 sweep in %v\n\n", time.Since(start).Round(time.Second))
 	if csvOut != "" {
-		writeCSV(csvOut, func(f *os.File) error {
-			return exp.WriteFigure3CSV(f, points)
+		writeCSV(csvOut, func(w io.Writer) error {
+			return exp.WriteFigure3CSV(w, points)
 		})
 	}
 	switch which {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -205,10 +206,23 @@ func (w *World) runFaulty() (*model.ClusterSchedule, error) {
 	return cs, nil
 }
 
-// advanceAll moves every node's clock to t, recording committed
-// completions into cs. t = +Inf drains completions without advancing the
-// clocks past the last one.
+// ErrClockBackwards reports an event instant earlier than the one the
+// world last advanced to: some event source fed the loop out of time order.
+var ErrClockBackwards = errors.New("cluster: event instant precedes the previous one")
+
+// advanceAll moves every node's clock to t, committing completions at
+// their predicted instants exactly as the serving loop does, and records
+// them into cs (nil on the batch path, whose final schedules come from the
+// per-node batch runs). t = +Inf drains completions without advancing the
+// clocks past the last one. A t before the previous event instant is
+// ErrClockBackwards. The check reads the world's own event clock, not a
+// driver's Now(): Driver.Advance computes Now + (t - Now), which can land
+// one ulp past t, so a same-instant event would trip a driver-clock check.
 func (w *World) advanceAll(t float64, cs *model.ClusterSchedule) error {
+	if t < w.clock {
+		return ErrClockBackwards
+	}
+	w.clock = t
 	for ni, n := range w.nodes {
 		for {
 			id, at, ok := n.drv.NextCompletion()
@@ -224,9 +238,11 @@ func (w *World) advanceAll(t float64, cs *model.ClusterSchedule) error {
 				return fmt.Errorf("cluster: node %d completing job %d: %w", ni, g, err)
 			}
 			n.globalOf[id] = -1
-			cs.Placement[g] = ni
-			cs.Completion[g] = at
-			cs.NodeJobs[ni] = append(cs.NodeJobs[ni], g)
+			if cs != nil {
+				cs.Placement[g] = ni
+				cs.Completion[g] = at
+				cs.NodeJobs[ni] = append(cs.NodeJobs[ni], g)
+			}
 			if n.drv.NumActive() > 0 {
 				n.drv.Replan(n.pol)
 			}

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"stretchsched/internal/model"
+	"stretchsched/internal/policy"
+	"stretchsched/internal/sim"
+	"stretchsched/internal/workload"
 )
 
 // TestPendingHeapOrder: interleaved out-of-order pushes pop back in
@@ -68,5 +72,36 @@ func TestPendingHeapRandomized(t *testing.T) {
 		if pushed[i] != popped[i] {
 			t.Fatalf("multiset mismatch at %d: pushed %v, popped %v", i, pushed[i], popped[i])
 		}
+	}
+}
+
+// TestAdvanceAllClockBackwards: an event instant before the previous one
+// is a typed error, not a silent skip that would hide an out-of-order
+// event source like the heap bug above, while a repeated instant stays
+// legal.
+func TestAdvanceAllClockBackwards(t *testing.T) {
+	inst, err := workload.Config{
+		Sites: 1, ProcsPerSite: 1, Databanks: 4, Availability: 1,
+		Density: 1, TargetJobs: 8, SizeRange: [2]float64{10, 200}, Seed: 3,
+	}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, err := model.Replicate(inst.Platform, 2, inst.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(ci, NewRandom(), PolicyLocal(func() sim.Policy { return policy.SWRPT{} }), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.resetNodes()
+	for _, at := range []float64{5, 5} {
+		if err := w.advanceAll(at, nil); err != nil {
+			t.Fatalf("advanceAll(%v): %v", at, err)
+		}
+	}
+	if err := w.advanceAll(3, nil); !errors.Is(err, ErrClockBackwards) {
+		t.Fatalf("advanceAll(3) after 5: got %v, want ErrClockBackwards", err)
 	}
 }

@@ -80,6 +80,9 @@ type World struct {
 	scratch *sim.Engine // Ideal lookahead simulations
 	tmpJobs []model.Job
 	tmpOrig []lookJob
+	// clock is the instant the run last advanced to; advanceAll refuses
+	// to move it backwards.
+	clock float64
 
 	// Fault injection (nil plan = the perfect world of PR 9). All per-run
 	// fault state (down flags, attempt counts, stats, the pending heap)
@@ -254,11 +257,8 @@ func (w *World) Run() (*model.ClusterSchedule, error) {
 	}
 
 	for gj := range w.ci.Jobs {
-		t := w.ci.Jobs[gj].Release
-		for ni, n := range w.nodes {
-			if err := n.advanceTo(t); err != nil {
-				return nil, fmt.Errorf("cluster: node %d accounting: %w", ni, err)
-			}
+		if err := w.advanceAll(w.ci.Jobs[gj].Release, nil); err != nil {
+			return nil, err
 		}
 		ni, err := w.lb.Place(w, model.JobID(gj))
 		if err != nil {
@@ -296,9 +296,10 @@ func (w *World) Run() (*model.ClusterSchedule, error) {
 	return cs, nil
 }
 
-// resetNodes rebuilds every node's stream/driver/policy state for a fresh
-// Run.
+// resetNodes rebuilds every node's stream/driver/policy state and rewinds
+// the event clock for a fresh Run.
 func (w *World) resetNodes() {
+	w.clock = -inf()
 	w.nodes = w.nodes[:0]
 	for range w.ci.Nodes {
 		w.nodes = append(w.nodes, nil)
@@ -310,32 +311,6 @@ func (w *World) resetNodes() {
 		pol.Init(st.Instance())
 		w.nodes[ni] = &node{stream: st, drv: drv, pol: pol}
 	}
-}
-
-// advanceTo moves the node's accounting clock to t, committing completions
-// at their predicted instants exactly as the serving loop does.
-func (n *node) advanceTo(t float64) error {
-	for {
-		id, at, ok := n.drv.NextCompletion()
-		if !ok || at > t {
-			break
-		}
-		if dt := at - n.drv.Now(); dt > 0 {
-			n.drv.Advance(dt)
-		}
-		n.drv.Complete(id)
-		if err := n.stream.Remove(id); err != nil {
-			return err
-		}
-		n.globalOf[id] = -1
-		if n.drv.NumActive() > 0 {
-			n.drv.Replan(n.pol)
-		}
-	}
-	if t > n.drv.Now() {
-		n.drv.Advance(t - n.drv.Now())
-	}
-	return nil
 }
 
 // place admits global job gj into the node's stream and accounting.

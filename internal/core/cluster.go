@@ -33,11 +33,9 @@ func accountingFor(name string) string {
 type ClusterRunner struct {
 	nodes []*Runner
 
-	// Fault-run accumulators, merged into Stats snapshots. faults sums the
-	// per-run counters (max for MaxAttempts); hasFaults marks that at least
-	// one RunFaulty executed since the last ResetStats.
-	faults    cluster.FaultStats
-	hasFaults bool
+	// faults sums the FaultStats of every Run since the last ResetStats
+	// (max for MaxAttempts), merged into Stats snapshots.
+	faults cluster.FaultStats
 }
 
 // NewClusterRunner returns an empty cluster runner; per-node Runners are
@@ -77,34 +75,16 @@ func (c *ClusterRunner) Local(name string) (cluster.Local, error) {
 }
 
 // Run executes one cluster world: the named registry scheduler locally on
-// every node of ci, placements by lb seeded with seed. The returned
-// schedule is caller-owned.
-func (c *ClusterRunner) Run(name string, ci *model.ClusterInstance, lb cluster.LB, seed int64) (*model.ClusterSchedule, error) {
-	loc, err := c.Local(name)
-	if err != nil {
-		return nil, err
-	}
-	w, err := cluster.New(ci, lb, loc, seed)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := w.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: cluster %s/%s: %w", name, lb.Name(), err)
-	}
-	return cs, nil
-}
-
-// RunFaulty executes one cluster world under a failure plan: the named
-// registry scheduler locally on every node, placements by lb seeded with
-// seed, machine down/up events from plan and retry pacing from backoff.
-// Fault mode requires a scheduler that accounts as itself (a cheap list
-// policy): under failures the accounting drivers ARE the schedule — there
-// is no final batch re-run for a planner to own — so a proxied scheduler
-// would silently report SWRPT's completions under its own name. The run's
-// FaultStats accumulate into the runner for Stats/MergeStats.
-func (c *ClusterRunner) RunFaulty(name string, ci *model.ClusterInstance, lb cluster.LB, seed int64, plan *fault.Plan, backoff fault.Backoff) (*model.ClusterSchedule, error) {
-	if accountingFor(name) != name {
+// every node of ci, placements by lb seeded with seed, and machine down/up
+// events from plan (nil for a perfect world) with the default retry
+// backoff. A plan with failures runs the world's fault event loop, which
+// needs a scheduler that accounts as itself (a cheap list policy): there
+// the accounting drivers ARE the schedule, with no final batch re-run for
+// a planner to own, so a proxied scheduler would silently report SWRPT's
+// completions under its own name. The run's FaultStats accumulate into the
+// runner for Stats/MergeStats. The returned schedule is caller-owned.
+func (c *ClusterRunner) Run(name string, ci *model.ClusterInstance, lb cluster.LB, seed int64, plan *fault.Plan) (*model.ClusterSchedule, error) {
+	if plan != nil && plan.HasFailures() && accountingFor(name) != name {
 		return nil, fmt.Errorf("core: cluster fault mode needs a list-policy scheduler, not %s (accounts as %s)", name, accountingFor(name))
 	}
 	loc, err := c.Local(name)
@@ -115,23 +95,14 @@ func (c *ClusterRunner) RunFaulty(name string, ci *model.ClusterInstance, lb clu
 	if err != nil {
 		return nil, err
 	}
-	if err := w.SetFaults(plan, backoff); err != nil {
+	if err := w.SetFaults(plan, fault.DefaultBackoff()); err != nil {
 		return nil, err
 	}
 	cs, err := w.Run()
 	if err != nil {
-		return nil, fmt.Errorf("core: faulty cluster %s/%s: %w", name, lb.Name(), err)
+		return nil, fmt.Errorf("core: cluster %s/%s: %w", name, lb.Name(), err)
 	}
-	fs := w.FaultStats()
-	c.faults.MachineFailures += fs.MachineFailures
-	c.faults.JobFailures += fs.JobFailures
-	c.faults.Replacements += fs.Replacements
-	c.faults.Deferred += fs.Deferred
-	c.faults.LostWork += fs.LostWork
-	if fs.MaxAttempts > c.faults.MaxAttempts {
-		c.faults.MaxAttempts = fs.MaxAttempts
-	}
-	c.hasFaults = true
+	c.faults = addFaults(c.faults, w.FaultStats())
 	return cs, nil
 }
 
@@ -142,7 +113,7 @@ func (c *ClusterRunner) Stats() Stats {
 	for _, r := range c.nodes {
 		agg = MergeStats(agg, r.Stats())
 	}
-	agg.Faults, agg.HasFaults = c.faults, c.hasFaults
+	agg.Faults = c.faults
 	return agg
 }
 
@@ -153,7 +124,6 @@ func (c *ClusterRunner) ResetStats() {
 		r.ResetStats()
 	}
 	c.faults = cluster.FaultStats{}
-	c.hasFaults = false
 }
 
 // MergeStats combines two Stats snapshots — per-machine views of a cluster
@@ -194,13 +164,18 @@ func MergeStats(a, b Stats) Stats {
 	out.Incremental.EtaNNZ = max(ai.EtaNNZ, bi.EtaNNZ)
 	out.Incremental.MaxEtaLen = max(ai.MaxEtaLen, bi.MaxEtaLen)
 	out.Incremental.MaxEtaNNZ = max(ai.MaxEtaNNZ, bi.MaxEtaNNZ)
-	out.HasFaults = a.HasFaults || b.HasFaults
-	out.Faults = a.Faults
-	out.Faults.MachineFailures += b.Faults.MachineFailures
-	out.Faults.JobFailures += b.Faults.JobFailures
-	out.Faults.Replacements += b.Faults.Replacements
-	out.Faults.Deferred += b.Faults.Deferred
-	out.Faults.LostWork += b.Faults.LostWork
-	out.Faults.MaxAttempts = max(a.Faults.MaxAttempts, b.Faults.MaxAttempts)
+	out.Faults = addFaults(a.Faults, b.Faults)
 	return out
+}
+
+// addFaults combines two runs' fault counters: counts and lost work sum,
+// MaxAttempts takes the worse.
+func addFaults(a, b cluster.FaultStats) cluster.FaultStats {
+	a.MachineFailures += b.MachineFailures
+	a.JobFailures += b.JobFailures
+	a.Replacements += b.Replacements
+	a.Deferred += b.Deferred
+	a.LostWork += b.LostWork
+	a.MaxAttempts = max(a.MaxAttempts, b.MaxAttempts)
+	return a
 }

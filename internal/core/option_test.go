@@ -67,8 +67,9 @@ func TestNewOptionConstructor(t *testing.T) {
 	}
 }
 
-// TestRunnerStatsUnified: Runner.Stats matches the deprecated accessors it
-// replaces, and ResetStats zeroes the workspace-cumulative counters.
+// TestRunnerStatsUnified: Runner.Stats reports the exact backend's tier
+// counters after an exact run, and ResetStats zeroes the
+// workspace-cumulative counters.
 func TestRunnerStatsUnified(t *testing.T) {
 	inst := testInstance(t, 5, 1.5)
 	r := NewRunner()
@@ -78,10 +79,6 @@ func TestRunnerStatsUnified(t *testing.T) {
 	st := r.Stats()
 	if !st.HasTiers || st.Tiers.Total() == 0 {
 		t.Fatalf("no tier stats after exact run: %+v", st)
-	}
-	// Deprecated wrapper agrees with the unified snapshot.
-	if ts := r.ExactTierStats(); ts == nil || ts.Total() != st.Tiers.Total() {
-		t.Fatalf("ExactTierStats diverges from Stats: %v vs %v", ts, st.Tiers)
 	}
 	r.ResetStats()
 	if after := r.Stats(); after.Tiers.Total() != 0 {

@@ -20,10 +20,9 @@ type SolveStats struct {
 // Stats is the unified snapshot of every solver diagnostic the scheduling
 // stack accumulates: per-scheduler solve-failure counters, the exact
 // rational backend's representation-tier counters, and the incremental
-// warm-start session's solve mix. It replaces the piecemeal Runner
-// accessors (SolveFailures, ExactTierStats, IncrementalStats) with one
-// stable struct — the single source behind cmd/profile's reports and the
-// serving daemon's /metrics endpoint.
+// warm-start session's solve mix, in one stable struct — the single
+// source behind cmd/profile's reports and the serving daemon's /metrics
+// endpoint.
 //
 // All fields are value copies taken at snapshot time; mutating them does
 // not affect the live counters (use Runner.ResetStats for per-run numbers).
@@ -48,11 +47,9 @@ type Stats struct {
 	HasIncremental bool
 
 	// Faults holds the failure/retry counters accumulated by a
-	// ClusterRunner's fault-mode runs (machine failures hit, job executions
-	// killed, re-placements, lost work). HasFaults reports whether any
-	// fault-mode run contributed.
-	Faults    cluster.FaultStats
-	HasFaults bool
+	// ClusterRunner's runs (machine failures hit, job executions killed,
+	// re-placements, lost work); zero when no run had a failing plan.
+	Faults cluster.FaultStats
 }
 
 // Collect assembles a Stats snapshot from a workspace and a set of
@@ -101,35 +98,4 @@ func (r *Runner) ResetStats() {
 	if is := r.ws.SessionStats(); is != nil {
 		*is = lp.IncrementalStats{}
 	}
-}
-
-// SolveFailures reports the per-event solver-failure counters recorded by
-// the named scheduler's cached instance during its most recent run on this
-// Runner, and whether the scheduler records them at all.
-//
-// Deprecated: use Stats, which snapshots every scheduler's counters (and
-// the workspace counters) at once.
-func (r *Runner) SolveFailures(name string) (stretchErrs, refineErrs int, ok bool) {
-	ss, ok := r.Stats().Solve[name]
-	return ss.StretchErrs, ss.RefineErrs, ok
-}
-
-// ExactTierStats returns the exact rational backend's live representation-
-// tier counters on this runner's workspace, or nil when no exact solve has
-// run on it.
-//
-// Deprecated: use Stats for reading and ResetStats for zeroing; this
-// accessor remains for callers that need the live counter object.
-func (r *Runner) ExactTierStats() *rat.TierStats {
-	return r.ws.TierStats()
-}
-
-// IncrementalStats returns the live warm/cold/fallback counters of the
-// workspace's incremental solve session, or nil when no session has been
-// created on this runner.
-//
-// Deprecated: use Stats for reading and ResetStats for zeroing; this
-// accessor remains for callers that need the live counter object.
-func (r *Runner) IncrementalStats() *lp.IncrementalStats {
-	return r.ws.SessionStats()
 }

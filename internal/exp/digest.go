@@ -85,6 +85,12 @@ func PointDigests(results []InstanceResult, schedulers []string) ([]string, erro
 // WritePointDigests writes PointDigests lines to w, one per line.
 func WritePointDigests(w io.Writer, results []InstanceResult, schedulers []string) error {
 	lines, err := PointDigests(results, schedulers)
+	return writeDigestLines(w, lines, err)
+}
+
+// writeDigestLines writes digest lines to w, one per line, or returns the
+// error that computing them produced.
+func writeDigestLines(w io.Writer, lines []string, err error) error {
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -85,6 +86,61 @@ func testdataImportPath(dirName string) string {
 }
 
 func TestNoswallowTestdata(t *testing.T) { runTestdata(t, NewNoswallow(), "noswallow") }
+
+// TestNoswallowWatchResolves: every watch-list entry must name a function,
+// a method or an interface method its package declares. Entries match the
+// callee's defining package, so one filed under the wrong package, or
+// naming something since renamed, silently watches nothing.
+func TestNoswallowWatchResolves(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLoader()
+	for path, names := range noswallowWatch {
+		pkg, err := l.imp.ImportFrom(path, root, 0)
+		if err != nil {
+			t.Fatalf("importing %s: %v", path, err)
+		}
+		for name := range names {
+			if !declaresFunc(pkg, name) {
+				t.Errorf("noswallow watches %s.%s, which that package does not declare", path, name)
+			}
+		}
+	}
+}
+
+// declaresFunc reports whether pkg declares a function, a method or an
+// interface method called name.
+func declaresFunc(pkg *types.Package, name string) bool {
+	scope := pkg.Scope()
+	if _, ok := scope.Lookup(name).(*types.Func); ok {
+		return true
+	}
+	for _, n := range scope.Names() {
+		tn, ok := scope.Lookup(n).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			if named.Method(i).Name() == name {
+				return true
+			}
+		}
+		if iface, ok := named.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				if m := iface.Method(i); m.Name() == name && m.Pkg() == pkg {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
 
 func TestBigescapeTestdata(t *testing.T) { runTestdata(t, NewBigescape(), "bigescape") }
 

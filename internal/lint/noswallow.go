@@ -37,25 +37,28 @@ var noswallowWatch = map[string]map[string]bool{
 		"WritePointDigests": true, "ReadResultsCSV": true, "PointDigests": true,
 		"VerifyExact": true,
 		// Package-internal encoders: the csv.go:100 class of swallow.
-		"writeResultRows": true, "encodeShard": true,
-		// Cluster family (PR 9) — same CSV/digest contract as the grid.
+		"writeResultRows": true, "encodeShard": true, "writeDigestLines": true,
+		// Cluster family (fault-free and failure-rate grids) — same
+		// CSV/digest contract as the grid.
 		"RunClusterCSV": true, "WriteClusterCSV": true, "ReadClusterCSV": true,
 		"ClusterPointDigests": true, "WriteClusterPointDigests": true,
 		"writeClusterRows": true, "encodeClusterShard": true,
 		// Measured-times sidecar: a swallowed write error silently loses
 		// the feedback that orders the next pass's shard dispatch.
 		"WritePointTimes": true, "ReadPointTimes": true,
-		// Faults family (PR 10) — same CSV/digest contract again.
-		"RunFaultsCSV": true, "WriteFaultsCSV": true, "ReadFaultsCSV": true,
-		"FaultPointDigests": true, "WriteFaultPointDigests": true,
-		"writeFaultRow": true, "encodeFaultShard": true,
 	},
 	// Cluster world entry points: a swallowed Run/Place/Lookahead error is
 	// a node silently dropped from the comparison tables; a swallowed
 	// SetFaults error silently runs the zero-failure path instead.
 	"stretchsched/internal/cluster": {
 		"Run": true, "Place": true, "Lookahead": true, "New": true,
-		"SetFaults": true, "RunFaulty": true,
+		"SetFaults": true,
+	},
+	// The registry's run entry points, ClusterRunner.Run included: a
+	// swallowed error is a scheduler or a whole cluster world silently
+	// missing from a comparison.
+	"stretchsched/internal/core": {
+		"Run": true,
 	},
 	// Fault planner: a swallowed construction error is a nil plan, which
 	// silently degrades a faults experiment to the zero-failure path.

@@ -1,9 +1,15 @@
 // Package noswallowdata seeds every way a watched error result can be
 // discarded — bare call statement, go, defer, blank-assigned — against the
-// real generic lp.Problem API, plus the legal forms (error handled, hatch).
+// real generic lp.Problem API and the cluster runner, plus the legal forms
+// (error handled, hatch).
 package noswallowdata
 
-import "stretchsched/internal/lp"
+import (
+	"stretchsched/internal/cluster"
+	"stretchsched/internal/core"
+	"stretchsched/internal/lp"
+	"stretchsched/internal/model"
+)
 
 func bareCall(p *lp.Problem[float64]) {
 	p.Solve() // want "error result of lp.Solve is discarded (bare call statement)"
@@ -28,6 +34,10 @@ func blankAssigned(p *lp.Problem[float64]) *lp.Solution[float64] {
 
 func bothBlank(p *lp.Problem[float64]) {
 	_, _ = p.Solve() // want "assigned to _"
+}
+
+func clusterRun(cr *core.ClusterRunner, ci *model.ClusterInstance, lb cluster.LB) {
+	cr.Run("SWRPT", ci, lb, 1, nil) // want "error result of core.Run is discarded (bare call statement)"
 }
 
 func handled(p *lp.Problem[float64]) error {
