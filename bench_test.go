@@ -458,7 +458,7 @@ func BenchmarkClusterWorld(b *testing.B) {
 // BenchmarkFaultyWorld measures the fault-injected cluster world — the
 // event loop interleaving machine down/up intervals with arrivals, work
 // lost on failure, and backoff-delayed re-placement — against the
-// zero-failure batch path BenchmarkClusterWorld measures. The delta is
+// zero-failure world BenchmarkClusterWorld measures. The delta is
 // the price of fault accounting under the stretch balancer.
 func BenchmarkFaultyWorld(b *testing.B) {
 	for _, machines := range []int{2, 4} {

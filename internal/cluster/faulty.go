@@ -9,16 +9,18 @@ import (
 	"stretchsched/internal/model"
 )
 
-// The fault event loop: with an active failure plan, Run switches from the
-// PR 9 batch path to a unified virtual-time loop over job arrivals (and
-// retries) and machine down/up events. Jobs running on a machine at its
-// failure instant lose their completed-so-far work and re-enter the
-// balancer after a capped exponential backoff; completions are the
-// accounting drivers' own predicted instants (the local policy IS the
-// schedule — fault mode therefore requires a list-policy local). The final
-// ClusterSchedule carries placements (the completing node), completions
-// and per-node job lists, but no per-node slice schedules: a schedule that
-// was interrupted and re-run is not a single batch timetable.
+// The event loop of every Run: one virtual-time loop over job arrivals (and
+// retries) and the failure plan's machine down/up events. Jobs running on a
+// machine at its failure instant lose their completed-so-far work and
+// re-enter the balancer after a capped exponential backoff. Under failures
+// completions are the accounting drivers' own predicted instants (the
+// local policy IS the schedule — fault mode therefore requires a
+// list-policy local), and the final ClusterSchedule carries placements (the
+// completing node), completions and per-node job lists, but no per-node
+// slice schedules: a schedule that was interrupted and re-run is not a
+// single batch timetable. Without failures nothing is ever re-placed, so
+// the loop only places jobs and the per-node batch runs produce the
+// schedule.
 
 // FaultStats counts what a failure plan did to one Run.
 type FaultStats struct {
@@ -31,8 +33,8 @@ type FaultStats struct {
 }
 
 // pendingArrival is one job waiting to be placed: its (re)arrival instant
-// and global ID. Ordered by (t, g) — the same release-then-ID order the
-// batch path places in.
+// and global ID. Ordered by (t, g): first arrivals pop in release-then-ID
+// order, which is the cluster instance's job order.
 type pendingArrival struct {
 	t float64
 	g model.JobID
@@ -90,9 +92,10 @@ type machineEvent struct {
 	down bool
 }
 
-// runFaulty executes the fault event loop. Preconditions: resetNodes and
-// lb.Init have run, the plan is non-nil with at least one failure.
-func (w *World) runFaulty() (*model.ClusterSchedule, error) {
+// run executes the event loop. Preconditions: resetNodes and lb.Init have
+// run.
+func (w *World) run() (*model.ClusterSchedule, error) {
+	faulty := w.plan != nil && w.plan.HasFailures()
 	// Per-run fault state.
 	w.nodeDown = w.nodeDown[:0]
 	for range w.ci.Nodes {
@@ -111,7 +114,7 @@ func (w *World) runFaulty() (*model.ClusterSchedule, error) {
 	// downs (a machine recovering at t can accept an arrival at t), then
 	// by node.
 	var events []machineEvent
-	for ni := 0; ni < w.ci.NumNodes(); ni++ {
+	for ni := 0; faulty && ni < w.ci.NumNodes(); ni++ {
 		for _, iv := range w.plan.Intervals(ni) {
 			events = append(events,
 				machineEvent{t: iv.Down, ni: ni, down: true},
@@ -130,6 +133,12 @@ func (w *World) runFaulty() (*model.ClusterSchedule, error) {
 	})
 
 	cs := model.NewClusterSchedule(w.ci)
+	// Completions are recorded only under failures; without, runNodes
+	// produces them and recording here too would count each one twice.
+	rec := cs
+	if !faulty {
+		rec = nil
+	}
 	mi := 0
 	for len(w.pending) > 0 || mi < len(events) {
 		tEvt, tArr := inf(), inf()
@@ -145,7 +154,7 @@ func (w *World) runFaulty() (*model.ClusterSchedule, error) {
 		}
 		// Completions due by t commit first: a job finishing exactly at a
 		// failure instant counts as completed, not failed.
-		if err := w.advanceAll(t, cs); err != nil {
+		if err := w.advanceAll(t, rec); err != nil {
 			return nil, err
 		}
 		if tEvt <= tArr {
@@ -186,20 +195,26 @@ func (w *World) runFaulty() (*model.ClusterSchedule, error) {
 		if err := w.nodes[ni].placeAt(w.ci, p.g, p.t); err != nil {
 			return nil, fmt.Errorf("cluster: node %d admitting job %d: %w", ni, p.g, err)
 		}
+		cs.Placement[p.g] = ni
 		w.attempts[p.g]++
 		if w.attempts[p.g] > 1 {
 			w.fstats.Replacements++
 		}
-		if w.attempts[p.g] > w.fstats.MaxAttempts {
+		// Every job is placed once even without failures; only a re-placed
+		// one makes the count a fault statistic.
+		if faulty && w.attempts[p.g] > w.fstats.MaxAttempts {
 			w.fstats.MaxAttempts = w.attempts[p.g]
 		}
+	}
+	if !faulty {
+		return w.runNodes(cs)
 	}
 	// No further arrivals or failures: drain every node to completion.
 	if err := w.advanceAll(inf(), cs); err != nil {
 		return nil, err
 	}
-	for g := range cs.Completion {
-		if cs.Placement[g] < 0 {
+	for g, c := range cs.Completion {
+		if math.IsNaN(c) {
 			return nil, fmt.Errorf("cluster: job %d never completed under the fault plan", g)
 		}
 	}
@@ -212,12 +227,12 @@ var ErrClockBackwards = errors.New("cluster: event instant precedes the previous
 
 // advanceAll moves every node's clock to t, committing completions at
 // their predicted instants exactly as the serving loop does, and records
-// them into cs (nil on the batch path, whose final schedules come from the
-// per-node batch runs). t = +Inf drains completions without advancing the
-// clocks past the last one. A t before the previous event instant is
-// ErrClockBackwards. The check reads the world's own event clock, not a
-// driver's Now(): Driver.Advance computes Now + (t - Now), which can land
-// one ulp past t, so a same-instant event would trip a driver-clock check.
+// them into cs (nil when the final schedules come from the per-node batch
+// runs). t = +Inf drains completions without advancing the clocks past the
+// last one. A t before the previous event instant is ErrClockBackwards.
+// The check reads the world's own event clock, not a driver's Now():
+// Driver.Advance computes Now + (t - Now), which can land one ulp past t,
+// so a same-instant event would trip a driver-clock check.
 func (w *World) advanceAll(t float64, cs *model.ClusterSchedule) error {
 	if t < w.clock {
 		return ErrClockBackwards
@@ -239,7 +254,6 @@ func (w *World) advanceAll(t float64, cs *model.ClusterSchedule) error {
 			}
 			n.globalOf[id] = -1
 			if cs != nil {
-				cs.Placement[g] = ni
 				cs.Completion[g] = at
 				cs.NodeJobs[ni] = append(cs.NodeJobs[ni], g)
 			}

@@ -15,7 +15,7 @@ import (
 // TestPendingHeapOrder: interleaved out-of-order pushes pop back in
 // strict (t, g) order. Regression for a sift-down that never descended
 // below the root, which let later arrivals pop before earlier ones and
-// fed runFaulty event times that ran backwards.
+// fed the event loop times that ran backwards.
 func TestPendingHeapOrder(t *testing.T) {
 	w := &World{}
 	for g, rel := range []float64{1, 2, 3, 10, 11, 12, 13} {

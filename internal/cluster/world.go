@@ -5,15 +5,18 @@
 // each node's online accounting, never the future — and is then *scheduled*
 // there by the node's local policy.
 //
-// The event loop mirrors the serving daemon (internal/serve): each node
-// carries a model.Stream + sim.Driver pair advanced to every arrival
-// instant, committing completions at their predicted instants, so balancer
-// decisions are a deterministic function of (instance, balancer, seed) —
-// independent of worker count or wall clock. Final per-node schedules are
-// produced by re-running the node's sub-instance through the ordinary batch
-// engine paths, which is what makes a 1-node cluster bitwise identical to
-// the single-platform pipeline and lets planner-backed schedulers (Offline,
-// Online-EGDF) act as local schedulers unchanged.
+// One virtual-time event loop runs every world, mirroring the serving
+// daemon (internal/serve): each node carries a model.Stream + sim.Driver
+// pair advanced to every arrival and machine event, committing completions
+// at their predicted instants, so balancer decisions are a deterministic
+// function of (instance, balancer, seed, plan) — independent of worker
+// count or wall clock. Without machine failures the loop only places jobs,
+// and the final per-node schedules come from re-running each node's
+// sub-instance through the ordinary batch engine paths, which is what makes
+// a 1-node cluster bitwise identical to the single-platform pipeline and
+// lets planner-backed schedulers (Offline, Online-EGDF) act as local
+// schedulers unchanged. Under failures the accounting drivers' completions
+// are the schedule (see faulty.go).
 package cluster
 
 import (
@@ -103,12 +106,11 @@ type lookJob struct {
 }
 
 // node is one machine of the world: a live stream + driver running the
-// accounting policy, plus the placement record.
+// accounting policy.
 type node struct {
 	stream   *model.Stream
 	drv      *sim.Driver
 	pol      sim.Policy
-	jobs     []model.JobID // global IDs in placement (= release) order
 	globalOf []model.JobID // slot -> global ID (-1 when tombstoned)
 }
 
@@ -130,10 +132,10 @@ func (w *World) NumNodes() int { return w.ci.NumNodes() }
 // Seed returns the balancer seed for this world.
 func (w *World) Seed() int64 { return w.seed }
 
-// SetFaults installs a failure plan and retry backoff. A nil plan (or a
-// plan without failures) keeps the perfect-world batch path; Run output is
-// then bitwise identical to a world without faults. The plan must cover
-// exactly this world's machines.
+// SetFaults installs a failure plan and retry backoff. A nil plan, or a
+// plan without failures, adds no machine events to Run's loop, so Run
+// output is bitwise identical to a world without faults. The plan must
+// cover exactly this world's machines.
 func (w *World) SetFaults(p *fault.Plan, b fault.Backoff) error {
 	if p != nil && p.NumNodes() != w.ci.NumNodes() {
 		return fmt.Errorf("cluster: fault plan covers %d nodes, world has %d",
@@ -148,11 +150,8 @@ func (w *World) SetFaults(p *fault.Plan, b fault.Backoff) error {
 // no plan is installed or the plan has no failures).
 func (w *World) FaultStats() FaultStats { return w.fstats }
 
-// NodeUp reports whether node ni is up at the current instant. Outside a
-// fault run every node is always up.
-func (w *World) NodeUp(ni int) bool {
-	return len(w.nodeDown) == 0 || !w.nodeDown[ni]
-}
+// NodeUp reports whether node ni is up at the current instant of a Run.
+func (w *World) NodeUp(ni int) bool { return !w.nodeDown[ni] }
 
 // UpNodes returns the indices of the currently up nodes, ascending. The
 // slice is scratch owned by the world — valid until the next call. With no
@@ -241,41 +240,30 @@ func (w *World) Lookahead(ni int, j model.JobID) (worst, jobDone float64, err er
 	return worst, jobDone, nil
 }
 
-// Run executes the full cluster trace: arrivals placed in release order,
-// per-node accounting advanced between events, then one batch run per node
-// over its sub-instance. Worlds are reusable; every Run starts from fresh
-// node state and a reseeded balancer. With an active failure plan
-// (SetFaults) the fault event loop replaces the batch path: jobs caught on
-// a failing machine lose their work and re-enter the balancer after a
-// backoff, and completions come from the accounting drivers themselves.
+// Run executes the full cluster trace through one event loop: arrivals
+// (and retries) are placed in (release, job ID) order, machine down/up
+// events come from the failure plan (SetFaults), and per-node accounting
+// advances between events. Worlds are reusable; every Run starts from
+// fresh node state and a reseeded balancer. Without failures the loop
+// ends with one batch run per node over its sub-instance. With failures,
+// jobs caught on a failing machine lose their work and re-enter the
+// balancer after a backoff, and completions come from the accounting
+// drivers themselves.
 func (w *World) Run() (*model.ClusterSchedule, error) {
 	w.resetNodes()
 	w.fstats = FaultStats{}
 	w.lb.Init(w)
-	if w.plan != nil && w.plan.HasFailures() {
-		return w.runFaulty()
-	}
+	return w.run()
+}
 
-	for gj := range w.ci.Jobs {
-		if err := w.advanceAll(w.ci.Jobs[gj].Release, nil); err != nil {
-			return nil, err
-		}
-		ni, err := w.lb.Place(w, model.JobID(gj))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %s placing job %d: %w", w.lb.Name(), gj, err)
-		}
-		if ni < 0 || ni >= len(w.nodes) {
-			return nil, fmt.Errorf("cluster: %s placed job %d on node %d of %d", w.lb.Name(), gj, ni, len(w.nodes))
-		}
-		if err := w.nodes[ni].place(w.ci, model.JobID(gj)); err != nil {
-			return nil, fmt.Errorf("cluster: node %d admitting job %d: %w", ni, gj, err)
-		}
+// runNodes fills cs with one batch run of the local scheduler per node
+// over the sub-instance of the jobs placed there, in placement order.
+func (w *World) runNodes(cs *model.ClusterSchedule) (*model.ClusterSchedule, error) {
+	for g, ni := range cs.Placement {
+		cs.NodeJobs[ni] = append(cs.NodeJobs[ni], model.JobID(g))
 	}
-
-	cs := model.NewClusterSchedule(w.ci)
-	for ni, n := range w.nodes {
-		cs.NodeJobs[ni] = append([]model.JobID(nil), n.jobs...)
-		sub, err := w.ci.Sub(ni, n.jobs)
+	for ni, ids := range cs.NodeJobs {
+		sub, err := w.ci.Sub(ni, ids)
 		if err != nil {
 			return nil, err
 		}
@@ -288,8 +276,7 @@ func (w *World) Run() (*model.ClusterSchedule, error) {
 			Slices: append([]model.Slice(nil), sched.Slices...),
 		}
 		cs.NodeSched[ni] = cp
-		for li, g := range n.jobs {
-			cs.Placement[g] = ni
+		for li, g := range ids {
 			cs.Completion[g] = cp.Completion[li]
 		}
 	}
@@ -311,21 +298,4 @@ func (w *World) resetNodes() {
 		pol.Init(st.Instance())
 		w.nodes[ni] = &node{stream: st, drv: drv, pol: pol}
 	}
-}
-
-// place admits global job gj into the node's stream and accounting.
-func (n *node) place(ci *model.ClusterInstance, gj model.JobID) error {
-	j := ci.Jobs[gj]
-	id, err := n.stream.Add(model.Job{Name: j.Name, Release: j.Release, Size: j.Size, Databank: j.Databank})
-	if err != nil {
-		return err
-	}
-	for int(id) >= len(n.globalOf) {
-		n.globalOf = append(n.globalOf, -1)
-	}
-	n.globalOf[id] = gj
-	n.drv.Arrive(id, j.Size)
-	n.drv.Replan(n.pol)
-	n.jobs = append(n.jobs, gj)
-	return nil
 }

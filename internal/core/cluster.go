@@ -77,12 +77,12 @@ func (c *ClusterRunner) Local(name string) (cluster.Local, error) {
 // Run executes one cluster world: the named registry scheduler locally on
 // every node of ci, placements by lb seeded with seed, and machine down/up
 // events from plan (nil for a perfect world) with the default retry
-// backoff. A plan with failures runs the world's fault event loop, which
-// needs a scheduler that accounts as itself (a cheap list policy): there
-// the accounting drivers ARE the schedule, with no final batch re-run for
-// a planner to own, so a proxied scheduler would silently report SWRPT's
-// completions under its own name. The run's FaultStats accumulate into the
-// runner for Stats/MergeStats. The returned schedule is caller-owned.
+// backoff. Under a plan with failures the world's accounting drivers ARE
+// the schedule, with no final batch re-run for a planner to own, so fault
+// mode needs a scheduler that accounts as itself (a cheap list policy): a
+// proxied scheduler would silently report SWRPT's completions under its
+// own name. The run's FaultStats accumulate into the runner for
+// Stats/MergeStats. The returned schedule is caller-owned.
 func (c *ClusterRunner) Run(name string, ci *model.ClusterInstance, lb cluster.LB, seed int64, plan *fault.Plan) (*model.ClusterSchedule, error) {
 	if plan != nil && plan.HasFailures() && accountingFor(name) != name {
 		return nil, fmt.Errorf("core: cluster fault mode needs a list-policy scheduler, not %s (accounts as %s)", name, accountingFor(name))
