@@ -21,8 +21,8 @@ type SolveStats struct {
 // stack accumulates: per-scheduler solve-failure counters, the exact
 // rational backend's representation-tier counters, and the incremental
 // warm-start session's solve mix, in one stable struct — the single
-// source behind cmd/profile's reports and the serving daemon's /metrics
-// endpoint.
+// source behind perfbench's per-layer metrics and the serving daemon's
+// /metrics endpoint.
 //
 // All fields are value copies taken at snapshot time; mutating them does
 // not affect the live counters (use Runner.ResetStats for per-run numbers).

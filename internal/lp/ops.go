@@ -95,7 +95,7 @@ type RatOps struct {
 	// counters for every arithmetic op this value performs: results by
 	// tier, promotions past the operands' tier (overflow escapes) and
 	// demotions below it (Reduce reclaiming values after cancellation).
-	// Workspace.Tiers is the conventional home; cmd/profile -tiers prints
+	// Workspace.Tiers is the conventional home; core.Stats.Tiers reports
 	// it. The nil default costs one predictable branch per op.
 	Tiers *rat.TierStats
 }

@@ -28,7 +28,7 @@ type Workspace[T any] struct {
 	// Tiers is the conventional home of the exact backend's per-operation
 	// representation-tier counters: a caller that builds its Problem with
 	// RatOps{Tiers: ws.Tiers()} has every solve on this workspace counted
-	// (the offline exact refinement does; cmd/profile -tiers prints the
+	// (the offline exact refinement does; core.Stats.Tiers reports the
 	// result). Unused by other backends.
 	tiers rat.TierStats
 }

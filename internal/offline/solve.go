@@ -24,8 +24,8 @@ type Solver struct {
 	// simplex tableau instead of the sparse revised method. The dense
 	// tableau pays O(m·n) row work per pivot on a matrix that is ~95%
 	// zeros at paper scale, so this exists only as the differential
-	// oracle and ablation baseline (equivalence tests, cmd/profile
-	// -denselp); leave it off otherwise.
+	// oracle and ablation baseline (equivalence tests,
+	// BenchmarkAblationExactRefinement); leave it off otherwise.
 	DenseLP bool
 }
 
@@ -217,7 +217,7 @@ func (s *Solver) refineExact(p *Problem, flo, fhi float64) (*Solution, error) {
 			// The LP workspace owns the tier counters; wiring them into the
 			// problem's ops once here has every exact solve on this
 			// workspace instrumented (surfaced via Workspace.TierStats and
-			// cmd/profile -tiers).
+			// core.Stats.Tiers).
 			p.ws.lpws = lp.NewWorkspace[rat.Rat]()
 			p.ws.lpProb = lp.New[rat.Rat](lp.RatOps{Tiers: p.ws.lpws.Tiers()}, fVar+1)
 		} else {
