@@ -159,7 +159,6 @@ func MergeStats(a, b Stats) Stats {
 	out.Incremental.WarmIters += bi.WarmIters
 	out.Incremental.DualSteps += bi.DualSteps
 	out.Incremental.WarmPhase1 += bi.WarmPhase1
-	out.Incremental.Resolves += bi.Resolves
 	out.Incremental.EtaLen = max(ai.EtaLen, bi.EtaLen)
 	out.Incremental.EtaNNZ = max(ai.EtaNNZ, bi.EtaNNZ)
 	out.Incremental.MaxEtaLen = max(ai.MaxEtaLen, bi.MaxEtaLen)

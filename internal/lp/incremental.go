@@ -6,20 +6,17 @@ package lp
 // factorisation when it returns; the online scheduler then does the whole
 // dance again at the next event even though consecutive System (1)
 // programs differ by one job's columns and bounds. Incremental[T] keeps
-// the revised-simplex state — CSR matrix, basis, eta file — alive between
-// solves and re-enters the simplex from the previous optimal basis:
-//
-//   - Solve rebuilds the matrix for the new program but maps the retained
-//     basis onto it by caller-provided stable column/row identities, then
-//     repairs feasibility instead of running cold Phase I: primal-feasible
-//     bases go straight to Phase II, bases with negative basic values take
-//     dual-simplex repair steps (valid because the previous solve ended
-//     dual feasible and costs are re-derived per program), and bases whose
-//     surviving artificials carry value run a warm Phase I from the mapped
-//     basis rather than from scratch.
-//   - AddColumn / DropColumn / SetRHS mutate the retained matrix in place
-//     (job arrival, completion, remaining-work update) and ReSolve repairs
-//     from the current basis the same way.
+// the revised-simplex state — basis, eta file and pooled buffers — alive
+// between solves and re-enters the simplex from the previous optimal
+// basis. Solve rebuilds the matrix for the new program (every System (1)
+// coefficient moves with the event time, so there is nothing to edit in
+// place) but maps the retained basis onto it by caller-provided stable
+// column/row identities, then repairs feasibility instead of running cold
+// Phase I: primal-feasible bases go straight to Phase II, bases with
+// negative basic values take dual-simplex repair steps (valid because the
+// previous solve ended dual feasible and costs are re-derived per
+// program), and bases whose surviving artificials carry value run a warm
+// Phase I from the mapped basis rather than from scratch.
 //
 // Warm starting is an optimisation, never a semantic: every repair path
 // that cannot certify the usual invariants returns ErrWarmStartFailed and
@@ -51,7 +48,6 @@ type IncrementalStats struct {
 	DualSteps int // dual-simplex repair pivots (not counted in WarmIters)
 
 	WarmPhase1 int // warm solves that needed a warm Phase I (artificials carrying value)
-	Resolves   int // delta-path ReSolve calls
 
 	EtaLen, EtaNNZ       int // eta file length / nonzeros after the last solve
 	MaxEtaLen, MaxEtaNNZ int // high-water marks across the session
@@ -79,11 +75,6 @@ type Incremental[T any] struct {
 	rowID     []int64    // current row -> stable ID
 	look      map[basisKey]int
 	cand      []int // mapped candidate basis columns (scratch)
-
-	maximize bool
-	nvars0   int   // structural variable count of the bound problem
-	added    []int // internal indices of columns added since the last bind
-	addedObj []T   // their sign-adjusted costs (setPhase2Costs cannot know them)
 
 	costSave []T // phase-2 cost snapshot around a warm Phase I
 
@@ -204,9 +195,8 @@ func (inc *Incremental[T]) warm(p *Problem[T], colIDs, rowIDs []int64) (*Solutio
 	return inc.resume()
 }
 
-// resume repairs feasibility from the current basis and re-optimises,
-// assuming a fresh factorisation and phase-2 costs in place. It is the
-// shared tail of warm solves and delta-path ReSolves.
+// resume repairs feasibility from the mapped basis and re-optimises,
+// assuming a fresh factorisation and phase-2 costs in place.
 func (inc *Incremental[T]) resume() (*Solution[T], error) {
 	rv := &inc.ws.rev
 	ops := rv.ops
@@ -289,7 +279,7 @@ func (inc *Incremental[T]) resume() (*Solution[T], error) {
 		inc.finish(Unbounded)
 		return rv.solution(Solution[T]{Status: Unbounded, Iterations: rv.iters}), ErrUnbounded
 	}
-	sol := inc.extract()
+	sol := rv.optimal()
 	inc.finish(Optimal)
 	return sol, nil
 }
@@ -299,9 +289,9 @@ func (inc *Incremental[T]) resume() (*Solution[T], error) {
 // columns sitting in negative rows and refactorises, repeating until no
 // basic value is negative. Each round strictly shrinks the retained set, so
 // the loop converges — in the worst case to the all-artificial basis, which
-// is feasible whenever b ≥ 0 (always true straight after init; the delta
-// path guards negative b separately). Returns false only when even the
-// all-artificial basis is infeasible or a refactorisation goes singular.
+// is feasible because init sign-flips rows to make b ≥ 0. Returns false
+// only when even the all-artificial basis is infeasible or a
+// refactorisation goes singular.
 //
 //stretch:noalloc
 func (inc *Incremental[T]) restoreFeasible() bool {
@@ -340,14 +330,9 @@ func (inc *Incremental[T]) restoreFeasible() bool {
 }
 
 // bind records the stable identities and layout of the freshly-built
-// program: column keys for structural and slack columns, row IDs, and the
-// delta-op bookkeeping reset.
+// program: column keys for structural and slack columns, and row IDs.
 func (inc *Incremental[T]) bind(p *Problem[T], colIDs, rowIDs []int64) {
 	rv := &inc.ws.rev
-	inc.maximize = p.maximize
-	inc.nvars0 = p.nvars
-	inc.added = inc.added[:0]
-	inc.addedObj = inc.addedObj[:0]
 	inc.colKey = growSlice(inc.colKey, rv.n)
 	for j := 0; j < p.nvars; j++ {
 		id := int64(j)
@@ -398,253 +383,6 @@ func (inc *Incremental[T]) finish(st Status) {
 	inc.haveBasis = true
 }
 
-// extract assembles the optimal solution, mapping basic values back to the
-// session's external variable space: the bound problem's variables first,
-// then columns added since the last bind, in AddColumn order.
-func (inc *Incremental[T]) extract() *Solution[T] {
-	rv := &inc.ws.rev
-	ops := rv.ops
-	val := rv.objective()
-	if inc.maximize {
-		val = ops.Neg(val)
-	}
-	nx := inc.nvars0 + len(inc.added)
-	inc.ws.x = growSlice(inc.ws.x, nx)
-	x := inc.ws.x
-	for j := range x {
-		x[j] = ops.Zero()
-	}
-	for r, v := range rv.basis {
-		switch {
-		case v < inc.nvars0:
-			x[v] = rv.xB[r]
-		case v >= rv.n:
-			// artificial, parked at zero
-		default:
-			for a, aj := range inc.added {
-				if aj == v {
-					x[inc.nvars0+a] = rv.xB[r]
-					break
-				}
-			}
-		}
-	}
-	return rv.solution(Solution[T]{Status: Optimal, X: x, Objective: val, Iterations: rv.iters})
-}
-
-// intCol maps an external column index (bound variables, then added
-// columns) to the internal column index.
-func (inc *Incremental[T]) intCol(ext int) (int, bool) {
-	if ext >= 0 && ext < inc.nvars0 {
-		return ext, true
-	}
-	if a := ext - inc.nvars0; a >= 0 && a < len(inc.added) {
-		return inc.added[a], true
-	}
-	return 0, false
-}
-
-// AddColumn appends a structural column with the given stable identity,
-// objective coefficient and sparse row entries (original row orientation;
-// the build-time sign flips are applied here) to the retained program. The
-// column starts nonbasic at zero, so the current basis stays valid; the
-// next ReSolve prices it in. Returns the column's external index.
-//
-//stretch:noalloc
-func (inc *Incremental[T]) AddColumn(id int64, obj T, rows []int, vals []T) (int, error) {
-	rv := &inc.ws.rev
-	if rv.prob == nil {
-		return 0, fmt.Errorf("lp: AddColumn before the first solve") //stretch:alloc-ok — error exit
-	}
-	if len(rows) != len(vals) {
-		return 0, fmt.Errorf("lp: AddColumn: %d rows, %d values", len(rows), len(vals)) //stretch:alloc-ok — error exit
-	}
-	for _, r := range rows {
-		if r < 0 || r >= rv.m {
-			return 0, fmt.Errorf("lp: AddColumn: row %d out of range [0,%d)", r, rv.m) //stretch:alloc-ok — error exit
-		}
-	}
-	ops := rv.ops
-	j := rv.n
-	// Artificial columns shift up by one; fix every index-carrying slot.
-	for r := range rv.basis {
-		if rv.basis[r] >= j {
-			rv.basis[r]++
-		}
-	}
-	rv.pos = append(rv.pos, 0) //stretch:alloc-ok — one-time growth, capacity retained
-	copy(rv.pos[j+1:], rv.pos[j:])
-	rv.pos[j] = -1
-	c := obj
-	if inc.maximize {
-		c = ops.Neg(c)
-	}
-	rv.cost = append(rv.cost, ops.Zero()) //stretch:alloc-ok — one-time growth, capacity retained
-	copy(rv.cost[j+1:], rv.cost[j:])
-	rv.cost[j] = c
-	for i, r := range rows {
-		v := vals[i]
-		if rv.flip[r] {
-			v = ops.Neg(v)
-		}
-		rv.colRow = append(rv.colRow, r) //stretch:alloc-ok — one-time growth, capacity retained
-		rv.colVal = append(rv.colVal, v) //stretch:alloc-ok — one-time growth, capacity retained
-	}
-	rv.colStart = append(rv.colStart, len(rv.colRow)) //stretch:alloc-ok — one-time growth, capacity retained
-	rv.n++
-	rv.growDead()
-	inc.colKey = append(inc.colKey, basisKey{0, id}) //stretch:alloc-ok — one-time growth, capacity retained
-	inc.added = append(inc.added, j)                 //stretch:alloc-ok — one-time growth, capacity retained
-	inc.addedObj = append(inc.addedObj, c)           //stretch:alloc-ok — one-time growth, capacity retained
-	return inc.nvars0 + len(inc.added) - 1, nil
-}
-
-// growDead extends the dead bitmap to the current column count, preserving
-// existing marks.
-//
-//stretch:noalloc
-func (rv *revised[T]) growDead() {
-	for len(rv.dead) < rv.n {
-		rv.dead = append(rv.dead, false) //stretch:alloc-ok — one-time growth, capacity retained
-	}
-}
-
-// DropColumn removes the column (external index) from play: pivoted out of
-// the basis if basic at zero, then excluded from every pricing and repair
-// scan. Dropping a column that is basic at a nonzero value would change the
-// current solution and is refused with ErrWarmStartFailed (callers force
-// the value to zero first — the offline session zeroes the job's completion
-// row — or fall back to a rebuild).
-//
-//stretch:noalloc
-func (inc *Incremental[T]) DropColumn(ext int) error {
-	rv := &inc.ws.rev
-	j, ok := inc.intCol(ext)
-	if !ok {
-		return fmt.Errorf("lp: DropColumn: no column %d", ext) //stretch:alloc-ok — error exit
-	}
-	if rv.isDead(j) {
-		return nil
-	}
-	if r := rv.pos[j]; r >= 0 {
-		if rv.ops.Sign(rv.xB[r]) != 0 {
-			return fmt.Errorf("lp: DropColumn: column %d basic at nonzero value: %w", ext, ErrWarmStartFailed) //stretch:alloc-ok — error exit
-		}
-		if !rv.pivotOut(r) {
-			return fmt.Errorf("lp: DropColumn: column %d cannot leave the basis: %w", ext, ErrWarmStartFailed) //stretch:alloc-ok — error exit
-		}
-	}
-	rv.growDead()
-	rv.dead[j] = true
-	return nil
-}
-
-// SetRHS updates one constraint's right-hand side in the retained program
-// (original orientation; the build-time sign flip is applied here). The
-// basis keeps factoring; the next ReSolve repairs primal feasibility with
-// dual-simplex steps.
-//
-//stretch:noalloc
-func (inc *Incremental[T]) SetRHS(row int, rhs T) error {
-	rv := &inc.ws.rev
-	if rv.prob == nil || row < 0 || row >= rv.m {
-		return fmt.Errorf("lp: SetRHS: row %d out of range", row) //stretch:alloc-ok — error exit
-	}
-	if rv.flip[row] {
-		rhs = rv.ops.Neg(rhs)
-	}
-	rv.b[row] = rhs
-	return nil
-}
-
-// ReSolve re-optimises the retained program after delta operations,
-// repairing feasibility from the current basis (dual-simplex steps for
-// bound changes, pricing for added columns, warm Phase I for value-carrying
-// artificials). When repair fails it falls back — counted — to a cold
-// two-phase restart on the same retained matrix.
-func (inc *Incremental[T]) ReSolve() (*Solution[T], error) {
-	rv := &inc.ws.rev
-	if rv.prob == nil {
-		return nil, fmt.Errorf("lp: ReSolve before the first solve")
-	}
-	if rv.failed {
-		return nil, fmt.Errorf("lp: ReSolve on a failed factorisation: %w", ErrWarmStartFailed)
-	}
-	inc.stats.Resolves++
-	if inc.failNext > 0 {
-		inc.failNext--
-		inc.stats.Fallback++
-		return inc.deltaCold()
-	}
-	it0 := rv.iters
-	// Refactorise so repair starts from a clean inverse of the current
-	// basis (delta ops leave the eta file as-is).
-	rv.clampXB = false
-	rv.refactorize()
-	if rv.failed {
-		rv.clampXB = true
-		inc.stats.Fallback++
-		rv.failed = false
-		return inc.deltaCold()
-	}
-	sol, err := inc.resume()
-	if errors.Is(err, ErrWarmStartFailed) {
-		inc.stats.Fallback++
-		return inc.deltaCold()
-	}
-	inc.stats.Warm++
-	inc.stats.WarmIters += rv.iters - it0
-	return sol, err
-}
-
-// deltaCold is the cold fallback of the delta path: the retained matrix
-// (which the bound Problem no longer describes) is re-solved from the
-// all-artificial basis. Rows whose right-hand side went negative since the
-// build are sign-flipped first so the artificial start is primal feasible;
-// the warm-Phase-I branch of resume then performs exactly the cold
-// two-phase solve.
-func (inc *Incremental[T]) deltaCold() (*Solution[T], error) {
-	rv := &inc.ws.rev
-	ops := rv.ops
-	inc.stats.Cold++
-	it0 := rv.iters
-	for r := 0; r < rv.m; r++ {
-		if ops.Sign(rv.b[r]) < 0 {
-			rv.flipRow(r)
-		}
-	}
-	inc.cand = inc.cand[:0]
-	if !rv.warmFactorize(inc.cand) {
-		// Unreachable: the all-artificial completion is the identity.
-		return rv.solution(Solution[T]{Status: IterLimit, Iterations: rv.iters}), ErrIterLimit
-	}
-	rv.setPhase2Costs()
-	inc.restoreAddedCosts()
-	sol, err := inc.resume()
-	inc.stats.ColdIters += rv.iters - it0
-	if errors.Is(err, ErrWarmStartFailed) {
-		return rv.solution(Solution[T]{Status: IterLimit, Iterations: rv.iters}), ErrIterLimit
-	}
-	return sol, err
-}
-
-// flipRow negates row r in place — right-hand side and every matrix entry —
-// flipping the standard-form orientation recorded at build time.
-//
-//stretch:noalloc
-func (rv *revised[T]) flipRow(r int) {
-	ops := rv.ops
-	rv.b[r] = ops.Neg(rv.b[r])
-	rv.flip[r] = !rv.flip[r]
-	for j := 0; j < rv.n; j++ {
-		for idx := rv.colStart[j]; idx < rv.colStart[j+1]; idx++ {
-			if rv.colRow[idx] == r {
-				rv.colVal[idx] = ops.Neg(rv.colVal[idx])
-			}
-		}
-	}
-}
-
 // classifyXB scans the basic values: neg reports any negative entry, artBad
 // any basic artificial carrying a nonzero value.
 //
@@ -675,7 +413,7 @@ func (rv *revised[T]) dualFeasible() bool {
 	}
 	rv.btran(rv.y)
 	for j := 0; j < rv.n; j++ {
-		if rv.pos[j] >= 0 || rv.isDead(j) {
+		if rv.pos[j] >= 0 {
 			continue
 		}
 		if ops.Sign(rv.reducedCost(j, rv.y)) < 0 {
@@ -738,7 +476,7 @@ func (rv *revised[T]) dualRepair() (Status, int) {
 		enter := -1
 		var bestRatio T
 		for j := 0; j < rv.n; j++ {
-			if rv.pos[j] >= 0 || rv.isDead(j) {
+			if rv.pos[j] >= 0 {
 				continue
 			}
 			arj := ops.Zero()
@@ -794,9 +532,6 @@ func (rv *revised[T]) warmFactorize(cand []int) bool {
 		if placed == m {
 			break
 		}
-		if v < rv.n && rv.isDead(v) {
-			continue
-		}
 		rv.scatterCol(v, rv.alpha)
 		rv.ftran(rv.alpha)
 		pr := rv.pickPivotRow(rv.alpha, -1)
@@ -831,57 +566,5 @@ func (rv *revised[T]) warmFactorize(cand []int) bool {
 	}
 	rv.sinceRefac = 0
 	rv.baseNNZ = len(rv.eta.row)
-	return true
-}
-
-// restoreAddedCosts re-applies the objective coefficients of columns added
-// since the last bind, which setPhase2Costs (driven by the bound Problem)
-// knows nothing about.
-//
-//stretch:noalloc
-func (inc *Incremental[T]) restoreAddedCosts() {
-	rv := &inc.ws.rev
-	for a, j := range inc.added {
-		rv.cost[j] = inc.addedObj[a]
-	}
-}
-
-// pivotOut removes the basic column of row r (basic at value zero) from the
-// basis, replacing it with any independent structural or slack column, or
-// the row's own artificial as a last resort.
-//
-//stretch:noalloc
-func (rv *revised[T]) pivotOut(r int) bool {
-	ops := rv.ops
-	for i := range rv.work {
-		rv.work[i] = ops.Zero()
-	}
-	rv.work[r] = ops.One()
-	rv.btran(rv.work)
-	for j := 0; j < rv.n; j++ {
-		if rv.pos[j] >= 0 || rv.isDead(j) {
-			continue
-		}
-		d := ops.Zero()
-		for idx := rv.colStart[j]; idx < rv.colStart[j+1]; idx++ {
-			d = ops.MulAdd(d, rv.work[rv.colRow[idx]], rv.colVal[idx])
-		}
-		if ops.Sign(d) == 0 {
-			continue
-		}
-		rv.scatterCol(j, rv.alpha)
-		rv.ftran(rv.alpha)
-		if ops.Sign(rv.alpha[r]) == 0 {
-			continue
-		}
-		rv.pivot(r, j, rv.alpha)
-		return true
-	}
-	rv.scatterCol(rv.n+r, rv.alpha)
-	rv.ftran(rv.alpha)
-	if ops.Sign(rv.alpha[r]) == 0 {
-		return false
-	}
-	rv.pivot(r, rv.n+r, rv.alpha)
 	return true
 }

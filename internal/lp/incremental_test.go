@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"errors"
 	"slices"
 	"testing"
 
@@ -146,127 +145,9 @@ func TestIncrementalForcedFallback(t *testing.T) {
 	}
 }
 
-// TestIncrementalDeltaOps applies the three delta operations — bound
-// change, column arrival, column drop — against equivalent from-scratch
-// programs.
-func TestIncrementalDeltaOps(t *testing.T) {
-	// min x0 + 2·x1  s.t.  x0 + x1 ≥ 1  →  x* = (1, 0), objective 1.
-	build := func(rhs int64, withX2 bool, dropX1 bool) *Problem[rat.Rat] {
-		n := 2
-		if withX2 {
-			n = 3
-		}
-		p := New[rat.Rat](RatOps{}, n)
-		p.SetObjectiveCoef(0, rat.One)
-		if !dropX1 {
-			p.SetObjectiveCoef(1, rat.FromInt(2))
-		} else {
-			// Dropped columns are excluded from play; the equivalent
-			// from-scratch program simply prices x1 out with a huge cost.
-			p.SetObjectiveCoef(1, rat.FromInt(1000))
-		}
-		vs := []int{0, 1}
-		cs := []rat.Rat{rat.One, rat.One}
-		if withX2 {
-			vs = append(vs, 2)
-			cs = append(cs, rat.One)
-			p.SetObjectiveCoef(2, rat.FromFloat(0.5))
-		}
-		p.AddSparse(vs, cs, GE, rat.FromInt(rhs))
-		return p
-	}
-
-	inc := NewIncremental[rat.Rat]()
-	sol, err := inc.Solve(build(1, false, false), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Objective.Equal(rat.One) {
-		t.Fatalf("base objective %v, want 1", sol.Objective)
-	}
-
-	// Bound change: rhs 1 → 3 (dual-simplex repair territory).
-	if err := inc.SetRHS(0, rat.FromInt(3)); err != nil {
-		t.Fatal(err)
-	}
-	sol, err = inc.ReSolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := build(3, false, false).SolveRevised()
-	if !sol.Objective.Equal(want.Objective) {
-		t.Fatalf("after SetRHS: objective %v, want %v", sol.Objective, want.Objective)
-	}
-
-	// Arrival: a cheaper column priced in.
-	ext, err := inc.AddColumn(7, rat.FromFloat(0.5), []int{0}, []rat.Rat{rat.One})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext != 2 {
-		t.Fatalf("added column external index %d, want 2", ext)
-	}
-	sol, err = inc.ReSolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ = build(3, true, false).SolveRevised()
-	if !sol.Objective.Equal(want.Objective) {
-		t.Fatalf("after AddColumn: objective %v, want %v", sol.Objective, want.Objective)
-	}
-	if !sol.X[2].Equal(rat.FromInt(3)) {
-		t.Fatalf("added column value %v, want 3", sol.X[2])
-	}
-
-	// Completion: drop x1 (nonbasic at zero here).
-	if err := inc.DropColumn(1); err != nil {
-		t.Fatal(err)
-	}
-	sol, err = inc.ReSolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ = build(3, true, true).SolveRevised()
-	if !sol.Objective.Equal(want.Objective) {
-		t.Fatalf("after DropColumn: objective %v, want %v", sol.Objective, want.Objective)
-	}
-	if inc.Stats().Resolves != 3 {
-		t.Fatalf("resolves: %+v", *inc.Stats())
-	}
-}
-
-// TestIncrementalSetRHSInfeasible checks that a bound change making the
-// program infeasible is reported as Infeasible (the dual repair's
-// certificate), matching a cold solve of the equivalent program.
-func TestIncrementalSetRHSInfeasible(t *testing.T) {
-	// min x0  s.t.  x0 ≤ 1, x0 ≥ rhs.
-	build := func(rhs int64) *Problem[rat.Rat] {
-		p := New[rat.Rat](RatOps{}, 1)
-		p.SetObjectiveCoef(0, rat.One)
-		p.AddSparse([]int{0}, []rat.Rat{rat.One}, LE, rat.One)
-		p.AddSparse([]int{0}, []rat.Rat{rat.One}, GE, rat.FromInt(rhs))
-		return p
-	}
-	inc := NewIncremental[rat.Rat]()
-	if _, err := inc.Solve(build(0), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.SetRHS(1, rat.FromInt(5)); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := inc.ReSolve()
-	if !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("want ErrInfeasible, got %v (status %v)", err, sol.Status)
-	}
-	want, werr := build(5).SolveRevised()
-	if !errors.Is(werr, ErrInfeasible) || want.Status != sol.Status {
-		t.Fatalf("cold disagrees: %v vs warm %v", want.Status, sol.Status)
-	}
-}
-
-// TestIncrementalSteadyStateAllocs gates the incremental path's hot loops:
-// once warmed up, same-shape warm solves and SetRHS+ReSolve repairs on the
-// float backend allocate nothing.
+// TestIncrementalSteadyStateAllocs gates the incremental path's hot loop:
+// once warmed up, same-shape warm solves on the float backend allocate
+// nothing.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	ops := Float64Ops{Eps: 1e-9}
 	p := New[float64](ops, 6)
@@ -300,23 +181,6 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, warmSolve); avg != 0 {
 		t.Errorf("warm Solve allocates %v allocs/op in steady state, want 0", avg)
-	}
-	rhs := 2.0
-	resolve := func() {
-		rhs = 2 + float64(step%4)
-		step++
-		if err := inc.SetRHS(0, rhs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inc.ReSolve(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		resolve()
-	}
-	if avg := testing.AllocsPerRun(20, resolve); avg != 0 {
-		t.Errorf("SetRHS+ReSolve allocates %v allocs/op in steady state, want 0", avg)
 	}
 	if f := inc.Stats().Fallback; f != 0 {
 		t.Fatalf("steady-state loop fell back %d times", f)

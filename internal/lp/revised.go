@@ -87,14 +87,6 @@ type revised[T any] struct {
 	// repair steps of the incremental session (incremental.go) walk through
 	// legitimately negative basic values and turn the clamp off.
 	clampXB bool
-	// flip records which rows were sign-flipped at build time to make b ≥ 0;
-	// the incremental session's SetRHS must apply the same convention.
-	flip []bool
-	// dead marks columns dropped by the incremental session: excluded from
-	// pricing, dual repair and artificial drive-out, so they can never
-	// re-enter the basis. nil or short means alive (the cold-solve paths
-	// never set it; init clears it).
-	dead []bool
 
 	eta        etaFile[T]
 	sinceRefac int  // etas appended since the last refactorisation
@@ -164,8 +156,6 @@ func (rv *revised[T]) init(p *Problem[T], ws *Workspace[T]) {
 	rv.sinceRefac, rv.baseNNZ, rv.refacs, rv.failed = 0, 0, 0, false
 	rv.cursor, rv.bland, rv.streak, rv.iters = 0, false, 0, 0
 	rv.clampXB = true
-	rv.dead = rv.dead[:0]
-	rv.flip = growBoolSlice(rv.flip, m)
 
 	// Count entries per column (structural from the sparse rows, one slack
 	// entry per inequality row), then fill via prefix sums. Duplicate row
@@ -207,7 +197,6 @@ func (rv *revised[T]) init(p *Problem[T], ws *Workspace[T]) {
 	for r := range p.cons {
 		c := &p.cons[r]
 		neg := ops.Sign(c.rhs) < 0
-		rv.flip[r] = neg
 		rhs := c.rhs
 		if neg {
 			rhs = ops.Neg(rhs)
@@ -372,7 +361,7 @@ func (rv *revised[T]) price(y []T) int {
 	}
 	if rv.bland {
 		for j := 0; j < n; j++ {
-			if rv.pos[j] >= 0 || rv.isDead(j) {
+			if rv.pos[j] >= 0 {
 				continue
 			}
 			if ops.Sign(rv.reducedCost(j, y)) < 0 {
@@ -389,7 +378,7 @@ func (rv *revised[T]) price(y []T) int {
 	var best T
 	j := rv.cursor % n
 	for scanned := 0; scanned < n; {
-		if rv.pos[j] < 0 && !rv.isDead(j) {
+		if rv.pos[j] < 0 {
 			if d := rv.reducedCost(j, y); ops.Sign(d) < 0 &&
 				(enter == -1 || ops.Cmp(d, best) < 0) {
 				enter, best = j, d
@@ -653,7 +642,15 @@ func (rv *revised[T]) solve() *Solution[T] {
 	if status != Optimal {
 		return rv.solution(Solution[T]{Status: status, Iterations: rv.iters})
 	}
+	return rv.optimal()
+}
 
+// optimal assembles the Optimal solution at the current basis: the
+// objective, negated back when maximising, and the structural values.
+//
+//stretch:noalloc
+func (rv *revised[T]) optimal() *Solution[T] {
+	ops := rv.ops
 	val := rv.objective()
 	if rv.prob.maximize {
 		val = ops.Neg(val)
@@ -697,7 +694,7 @@ func (rv *revised[T]) driveOutArtificials() {
 		rv.work[r] = ops.One()
 		rv.btran(rv.work)
 		for j := 0; j < rv.n; j++ {
-			if rv.pos[j] >= 0 || rv.isDead(j) {
+			if rv.pos[j] >= 0 {
 				continue
 			}
 			d := ops.Zero()
@@ -716,13 +713,6 @@ func (rv *revised[T]) driveOutArtificials() {
 			break
 		}
 	}
-}
-
-// isDead reports whether column j was dropped by the incremental session.
-//
-//stretch:noalloc
-func (rv *revised[T]) isDead(j int) bool {
-	return j < len(rv.dead) && rv.dead[j]
 }
 
 // pickPivotRow returns the elimination pivot row for the FTRAN'd column

@@ -10,16 +10,6 @@ import (
 	"stretchsched/internal/rat"
 )
 
-// Delta describes how the task set changed between two consecutive solves
-// on a Session — the event-stream vocabulary of the online path. It is
-// informational (the session recomputes it on every solve) and owned by the
-// session: valid until the next OptimalStretch call.
-type Delta struct {
-	Arrived      []model.JobID // jobs seen for the first time
-	Completed    []model.JobID // jobs present last event, absent now
-	BoundChanged []model.JobID // surviving jobs whose remaining work moved
-}
-
 // Session is a persistent incremental System (1) solve session for a stream
 // of related exact-mode problems — the per-event re-optimisations of the
 // online algorithms, where consecutive problems differ by one job's rows
@@ -46,16 +36,12 @@ type Session struct {
 	coldOnly bool
 
 	// Stable slot assignment: slot → job, job → slot, recycled free slots,
-	// per-event slot → task index (−1 when absent), task index → slot, and
-	// the last-seen remaining work for BoundChanged detection.
+	// per-event slot → task index (−1 when absent), and task index → slot.
 	slots      []model.JobID
 	slotOf     map[model.JobID]int
 	free       []int
 	taskOf     []int
 	slotOfTask []int
-	prevWork   []float64
-
-	delta Delta
 
 	// Builder scratch, reused across events.
 	colIDs []int64
@@ -82,10 +68,6 @@ func (ss *Session) Stats() *lp.IncrementalStats { return ss.inc.Stats() }
 // ForceWarmFailure, and the tier counters on its workspace).
 func (ss *Session) Incremental() *lp.Incremental[rat.Rat] { return ss.inc }
 
-// LastDelta returns the delta computed by the most recent OptimalStretch
-// call. Owned by the session; valid until the next call.
-func (ss *Session) LastDelta() *Delta { return &ss.delta }
-
 // SetColdOnly forces every solve on this session to run cold — the
 // ablation baseline for the warm-start benchmarks and differential tests.
 func (ss *Session) SetColdOnly(cold bool) { ss.coldOnly = cold }
@@ -98,19 +80,17 @@ func (ss *Session) SetColdOnly(cold bool) { ss.coldOnly = cold }
 // decision-relevant outputs exactly, and the basis would be both large and
 // representation-dependent to encode.
 type SessionState struct {
-	Slots    []model.JobID // slot → job (stale entries for free slots)
-	Live     []bool        // slot → currently assigned
-	Free     []int         // free-list, recycled LIFO, order significant
-	PrevWork []float64     // slot → last-seen remaining work
+	Slots []model.JobID // slot → job (stale entries for free slots)
+	Live  []bool        // slot → currently assigned
+	Free  []int         // free-list, recycled LIFO, order significant
 }
 
 // State snapshots the session's slot table for a checkpoint.
 func (ss *Session) State() SessionState {
 	st := SessionState{
-		Slots:    append([]model.JobID(nil), ss.slots...),
-		Live:     make([]bool, len(ss.slots)),
-		Free:     append([]int(nil), ss.free...),
-		PrevWork: append([]float64(nil), ss.prevWork...),
+		Slots: append([]model.JobID(nil), ss.slots...),
+		Live:  make([]bool, len(ss.slots)),
+		Free:  append([]int(nil), ss.free...),
 	}
 	for slot, id := range ss.slots {
 		if cur, ok := ss.slotOf[id]; ok && cur == slot {
@@ -126,9 +106,9 @@ func (ss *Session) State() SessionState {
 // session would have produced.
 func (ss *Session) Restore(st SessionState) error {
 	n := len(st.Slots)
-	if len(st.Live) != n || len(st.PrevWork) != n {
-		return fmt.Errorf("offline: session restore: slot table lengths %d/%d/%d disagree",
-			n, len(st.Live), len(st.PrevWork))
+	if len(st.Live) != n {
+		return fmt.Errorf("offline: session restore: slot table lengths %d/%d disagree",
+			n, len(st.Live))
 	}
 	for _, slot := range st.Free {
 		if slot < 0 || slot >= n || st.Live[slot] {
@@ -137,7 +117,6 @@ func (ss *Session) Restore(st SessionState) error {
 	}
 	ss.slots = append(ss.slots[:0], st.Slots...)
 	ss.free = append(ss.free[:0], st.Free...)
-	ss.prevWork = append(ss.prevWork[:0], st.PrevWork...)
 	ss.taskOf = append(ss.taskOf[:0], make([]int, n)...)
 	for i := range ss.taskOf {
 		ss.taskOf[i] = -1
@@ -153,7 +132,6 @@ func (ss *Session) Restore(st SessionState) error {
 	}
 	ss.inc = lp.NewIncremental[rat.Rat]()
 	ss.prob = nil
-	ss.delta = Delta{}
 	return nil
 }
 
@@ -166,7 +144,7 @@ func (ss *Session) OptimalStretch(s *Solver, p *Problem) (*Solution, error) {
 	if !s.Exact || s.DenseLP {
 		return s.OptimalStretch(p)
 	}
-	ss.applyDelta(p)
+	ss.assignSlots(p)
 	sol, flo, fhi, err := s.bracket(p)
 	if sol != nil || err != nil {
 		return sol, err
@@ -174,17 +152,13 @@ func (ss *Session) OptimalStretch(s *Solver, p *Problem) (*Solution, error) {
 	return ss.refine(p, flo, fhi)
 }
 
-// applyDelta diffs p's task set against the session's slot table: new jobs
-// take a slot (free-list first), surviving jobs with moved remaining work
-// are recorded as bound changes, and jobs gone since the last event release
-// their slot. Task order within p is irrelevant — slots, assigned in
+// assignSlots maps p's task set onto the session's slot table: new jobs
+// take a slot (free-list first) and jobs gone since the last event release
+// theirs. Task order within p is irrelevant — slots, assigned in
 // first-arrival order, define the stable identities.
 //
 //stretch:noalloc
-func (ss *Session) applyDelta(p *Problem) {
-	ss.delta.Arrived = ss.delta.Arrived[:0]
-	ss.delta.Completed = ss.delta.Completed[:0]
-	ss.delta.BoundChanged = ss.delta.BoundChanged[:0]
+func (ss *Session) assignSlots(p *Problem) {
 	if ss.slotOf == nil {
 		ss.slotOf = make(map[model.JobID]int) //stretch:alloc-ok — lazy init
 	}
@@ -204,19 +178,14 @@ func (ss *Session) applyDelta(p *Problem) {
 				ss.free = ss.free[:n-1]
 			} else {
 				slot = len(ss.slots)
-				ss.slots = append(ss.slots, 0)       //stretch:alloc-ok — slot-table growth
-				ss.taskOf = append(ss.taskOf, -1)    //stretch:alloc-ok — slot-table growth
-				ss.prevWork = append(ss.prevWork, 0) //stretch:alloc-ok — slot-table growth
+				ss.slots = append(ss.slots, 0)    //stretch:alloc-ok — slot-table growth
+				ss.taskOf = append(ss.taskOf, -1) //stretch:alloc-ok — slot-table growth
 			}
 			ss.slots[slot] = id
 			ss.slotOf[id] = slot
-			ss.delta.Arrived = append(ss.delta.Arrived, id) //stretch:alloc-ok — delta growth
-		} else if ss.prevWork[slot] != p.Tasks[k].Work {
-			ss.delta.BoundChanged = append(ss.delta.BoundChanged, id) //stretch:alloc-ok — delta growth
 		}
 		ss.taskOf[slot] = k
 		ss.slotOfTask[k] = slot
-		ss.prevWork[slot] = p.Tasks[k].Work
 	}
 	for slot := range ss.slots {
 		if ss.taskOf[slot] >= 0 {
@@ -225,8 +194,7 @@ func (ss *Session) applyDelta(p *Problem) {
 		id := ss.slots[slot]
 		if cur, live := ss.slotOf[id]; live && cur == slot {
 			delete(ss.slotOf, id)
-			ss.free = append(ss.free, slot)                     //stretch:alloc-ok — free-list growth
-			ss.delta.Completed = append(ss.delta.Completed, id) //stretch:alloc-ok — delta growth
+			ss.free = append(ss.free, slot) //stretch:alloc-ok — free-list growth
 		}
 	}
 }
