@@ -1,6 +1,7 @@
 // Package noswallowdata seeds every way a watched error result can be
 // discarded — bare call statement, go, defer, blank-assigned — against the
-// real generic lp.Problem API and the cluster runner, plus the legal forms
+// real generic lp.Problem and lp.Incremental API and the cluster runner,
+// plus the legal forms
 // (error handled, hatch).
 package noswallowdata
 
@@ -34,6 +35,10 @@ func blankAssigned(p *lp.Problem[float64]) *lp.Solution[float64] {
 
 func bothBlank(p *lp.Problem[float64]) {
 	_, _ = p.Solve() // want "assigned to _"
+}
+
+func incrementalCold(inc *lp.Incremental[float64], p *lp.Problem[float64]) {
+	inc.Cold(p, nil, nil) // want "error result of lp.Cold is discarded (bare call statement)"
 }
 
 func clusterRun(cr *core.ClusterRunner, ci *model.ClusterInstance, lb cluster.LB) {

@@ -198,6 +198,9 @@ func FuzzIncrementalWarmCold(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 129, 1, 3})
 	f.Add([]byte{4, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
 	f.Add([]byte{2, 2, 3, 16, 50, 5, 1, 7, 9, 200, 3})
+	// x ≤ 4, x ≥ 5 after priming on the feasible x ≤ 5: the warm solve's
+	// dual repair certifies the infeasibility.
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 4, 1, 1, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst, ok := decodeFuzzLP(data)
 		if !ok {

@@ -100,44 +100,86 @@ func TestCheckpointRestoreDeterminism(t *testing.T) {
 		t.Fatal("exact-mode checkpoint carries no session state")
 	}
 
-	// Restored run: decode from bytes (the full serialisation round trip),
-	// fresh workspace and scheduler, replay the second half.
-	dec, err := DecodeCheckpoint(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logC bytes.Buffer
-	loopC, err := Restore(egdfExactConfig(t, inst, &logC), dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, loopC, jobs[cut:])
-	if err := loopC.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	// Restored runs: decode from bytes (the full serialisation round trip),
+	// fresh workspace and scheduler, replay the second half. The second
+	// input carries a Session.PrevWork array, as checkpoints written before
+	// that field was dropped do; decoding must ignore it.
+	for _, in := range []struct {
+		name string
+		enc  []byte
+	}{{"current", enc}, {"with-PrevWork", withPrevWork(t, enc)}} {
+		t.Run(in.name, func(t *testing.T) {
+			dec, err := DecodeCheckpoint(in.enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var logC bytes.Buffer
+			loopC, err := Restore(egdfExactConfig(t, inst, &logC), dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submitAll(t, loopC, jobs[cut:])
+			if err := loopC.Drain(); err != nil {
+				t.Fatal(err)
+			}
 
-	joined := logB.String() + logC.String()
-	if joined != logA.String() {
-		t.Fatalf("restored decision log diverged from uninterrupted run:\n--- uninterrupted ---\n%s\n--- interrupted+restored ---\n%s",
-			firstDiff(logA.String(), joined), firstDiff(joined, logA.String()))
-	}
+			joined := logB.String() + logC.String()
+			if joined != logA.String() {
+				t.Fatalf("restored decision log diverged from uninterrupted run:\n--- uninterrupted ---\n%s\n--- interrupted+restored ---\n%s",
+					firstDiff(logA.String(), joined), firstDiff(joined, logA.String()))
+			}
 
-	// The restored daemon's own metrics must agree with the uninterrupted
-	// run's (same completions, same quantile stream).
-	sa, err := loopA.Snapshot()
+			// The restored daemon's own metrics must agree with the uninterrupted
+			// run's (same completions, same quantile stream).
+			sa, err := loopA.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := loopC.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sa.StretchMax != sc.StretchMax || sa.StretchP99 != sc.StretchP99 ||
+				sa.Counters.CompletedN != sc.Counters.CompletedN {
+				t.Fatalf("restored metrics diverged: max %v vs %v, p99 %v vs %v, completed %d vs %d",
+					sa.StretchMax, sc.StretchMax, sa.StretchP99, sc.StretchP99,
+					sa.Counters.CompletedN, sc.Counters.CompletedN)
+			}
+		})
+	}
+}
+
+// withPrevWork returns the encoded checkpoint with a per-slot PrevWork
+// array put back into its Session object.
+func withPrevWork(t *testing.T, enc []byte) []byte {
+	t.Helper()
+	var top, sess map[string]json.RawMessage
+	var slots []json.RawMessage
+	if err := json.Unmarshal(enc, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["Session"], &sess); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(sess["Slots"], &slots); err != nil {
+		t.Fatal(err)
+	}
+	work := make([]float64, len(slots))
+	for i := range work {
+		work[i] = float64(i) + 0.5
+	}
+	var err error
+	if sess["PrevWork"], err = json.Marshal(work); err != nil {
+		t.Fatal(err)
+	}
+	if top["Session"], err = json.Marshal(sess); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := loopC.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.StretchMax != sc.StretchMax || sa.StretchP99 != sc.StretchP99 ||
-		sa.Counters.CompletedN != sc.Counters.CompletedN {
-		t.Fatalf("restored metrics diverged: max %v vs %v, p99 %v vs %v, completed %d vs %d",
-			sa.StretchMax, sc.StretchMax, sa.StretchP99, sc.StretchP99,
-			sa.Counters.CompletedN, sc.Counters.CompletedN)
-	}
+	return out
 }
 
 // firstDiff returns a window around the first differing line.
