@@ -52,7 +52,7 @@ func benchGrid(b *testing.B, tableNum int) {
 	opts := exp.Options{Runs: 1, Seed: 42, TargetJobs: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := exp.RunGrid(sample, opts)
+		results := exp.Grid.Run(sample, opts)
 		rows := exp.Aggregate(results, nil, core.Table1Names())
 		if len(rows) == 0 {
 			b.Fatal("no rows")
@@ -518,7 +518,7 @@ func BenchmarkGridWorkers(b *testing.B) {
 			opts := exp.Options{Runs: 2, Seed: 42, TargetJobs: 12, Workers: w,
 				Schedulers: []string{"Online", "SWRPT", "SRPT", "MCT"}}
 			for i := 0; i < b.N; i++ {
-				if results := exp.RunGrid(sample, opts); len(results) == 0 {
+				if results := exp.Grid.Run(sample, opts); len(results) == 0 {
 					b.Fatal("no results")
 				}
 			}

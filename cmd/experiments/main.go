@@ -71,20 +71,26 @@ func main() {
 	)
 	flag.Parse()
 
-	fam, isCluster := clusterFamilies[*tables]
+	run := runConfig{
+		runs: *runs, seed: *seed, target: *target, horizon: *horizon, workers: *workers,
+		csv: *csvOut, progress: *progress, shard: *shard, dryRun: *dryRun,
+		fromCSV: *fromCSV, digest: *digest, times: *times, fromTimes: *fromTimes,
+	}
 	switch {
 	case *verifyExact:
 		runVerifyExact(*runs, *seed, *target, *workers, *progress)
 	case *figure != "":
 		runFigure(*figure, *runs, *seed, *workers, *csvOut)
-	case isCluster:
-		runCluster(*tables, fam, *runs, *seed, *target, *workers, *csvOut, *progress, *shard, *dryRun, *digest, *fromCSV)
-	case *fromCSV != "":
-		fromCSVMain(*tables, *table, *fromCSV, *digest)
 	case *tables == "all":
-		runTables(allTableNumbers(), *runs, *seed, *target, *horizon, *workers, *csvOut, *progress, *shard, *dryRun, *digest, *times, *fromTimes)
+		runFamily(exp.Grid, "grid", exp.DefaultGrid(), core.Table1Names(), paperTables(allTableNumbers()), run)
+	case *tables == "cluster":
+		runFamily(exp.Cluster, "cluster", exp.DefaultClusterGrid(), exp.DefaultClusterSchedulers(), exp.RenderClusterTables, run)
+	case *tables == "faults":
+		// SWRPT alone: under failures every local policy must account as
+		// itself, and SWRPT is the paper's best-practice list policy.
+		runFamily(exp.Cluster, "faults", exp.DefaultFaultGrid(), []string{"SWRPT"}, exp.RenderFaultTables, run)
 	case *table >= 1 && *table <= 16:
-		runTables([]int{*table}, *runs, *seed, *target, *horizon, *workers, *csvOut, *progress, *shard, *dryRun, *digest, *times, *fromTimes)
+		runFamily(exp.Grid, "grid", exp.DefaultGrid(), core.Table1Names(), paperTables([]int{*table}), run)
 	default:
 		fmt.Fprintln(os.Stderr, "experiments: need -table N, -tables all|cluster|faults, or -figure 3|3a|3b")
 		flag.Usage()
@@ -134,20 +140,6 @@ func runVerifyExact(runs int, seed int64, target, workers int, progress bool) {
 	fmt.Println("verify-exact: §5.3 anomaly eliminated on every sampled instance")
 }
 
-func fromCSVMain(tables string, table int, fromCSV, digest string) {
-	var nums []int
-	switch {
-	case tables == "all":
-		nums = allTableNumbers()
-	case table >= 1 && table <= 16:
-		nums = []int{table}
-	default:
-		fmt.Fprintln(os.Stderr, "experiments: -fromcsv needs -table N or -tables all")
-		os.Exit(2)
-	}
-	tablesFromCSV(nums, fromCSV, digest)
-}
-
 // parseShard reads a "k/n" shard spec; the empty spec is the whole grid.
 func parseShard(spec string) (k, n int, err error) {
 	if spec == "" {
@@ -165,33 +157,20 @@ func parseShard(spec string) (k, n int, err error) {
 	return k, n, nil
 }
 
-// tablesFromCSV aggregates and renders tables from an existing raw dump,
-// optionally recomputing the per-point row digests of its rows.
-func tablesFromCSV(nums []int, path, digest string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	results, err := exp.ReadResultsCSV(f)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("# %d instances read from %s\n\n", len(results), path)
-	writeDigests(digest, func(w io.Writer) error {
-		return exp.WritePointDigests(w, results, core.Table1Names())
-	})
-	renderTables(nums, results)
-}
-
-func renderTables(nums []int, results []exp.InstanceResult) {
-	for _, n := range nums {
-		spec, err := exp.TableByNumber(n)
-		if err != nil {
-			fatal(err)
+// paperTables renders the paper's tables nums from grid results, one
+// blank line between tables.
+func paperTables(nums []int) func([]exp.InstanceResult, []string) string {
+	return func(results []exp.InstanceResult, schedulers []string) string {
+		out := make([]string, len(nums))
+		for i, n := range nums {
+			spec, err := exp.TableByNumber(n)
+			if err != nil {
+				fatal(err)
+			}
+			rows := exp.Aggregate(results, spec.Filter, schedulers)
+			out[i] = exp.Render(fmt.Sprintf("Table %d: %s", spec.Number, spec.Title), rows)
 		}
-		rows := exp.Aggregate(results, spec.Filter, core.Table1Names())
-		fmt.Println(exp.Render(fmt.Sprintf("Table %d: %s", spec.Number, spec.Title), rows))
+		return strings.Join(out, "\n")
 	}
 }
 
@@ -234,142 +213,69 @@ func allTableNumbers() []int {
 	return out
 }
 
-func runTables(nums []int, runs int, seed int64, target int, horizon float64, workers int, csvOut string, progress bool, shard string, dryRun bool, digest, times, fromTimes string) {
+// runConfig holds the flags every family run takes.
+type runConfig struct {
+	runs, target, workers       int
+	seed                        int64
+	horizon                     float64
+	csv, shard, fromCSV, digest string
+	times, fromTimes            string
+	progress, dryRun            bool
+}
+
+// runFamily runs the -tables view called name — grid points of family fam
+// under schedulers, rendered by render — or, with -fromcsv, reads its
+// results back from a CSV instead. Sharding, CSV streaming, digests and
+// the timing sidecar follow one contract for every family.
+func runFamily[P comparable](fam exp.Family[P], name string, points []P, schedulers []string,
+	render func([]exp.Result[P], []string) string, c runConfig) {
+	var results []exp.Result[P]
+	digests := func(w io.Writer) error { return fam.WriteDigests(w, results, schedulers) }
+	if c.fromCSV != "" {
+		f, err := os.Open(c.fromCSV)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		if results, err = fam.ReadCSV(f); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("# %d %s instances read from %s\n\n", len(results), name, c.fromCSV)
+		writeDigests(c.digest, digests)
+		fmt.Println(render(results, schedulers))
+		return
+	}
+
 	start := time.Now()
 	opts := exp.Options{
-		Runs:       runs,
-		Seed:       seed,
-		TargetJobs: target,
-		Horizon:    horizon,
-		Workers:    workers,
-		DryRun:     dryRun,
+		Runs:       c.runs,
+		Seed:       c.seed,
+		Schedulers: schedulers,
+		TargetJobs: c.target,
+		Horizon:    c.horizon,
+		Workers:    c.workers,
+		DryRun:     c.dryRun,
 	}
-	if times != "" {
+	if c.times != "" {
 		// Inject the wall clock here, at the edge: the harness measures with
 		// whatever clock it is handed and stays free of time.Now itself.
 		base := time.Now()
 		opts.Clock = func() int64 { return int64(time.Since(base)) }
 	}
-	if fromTimes != "" {
-		f, err := os.Open(fromTimes)
+	if c.fromTimes != "" {
+		f, err := os.Open(c.fromTimes)
 		if err != nil {
 			fatal(err)
 		}
-		opts.MeasuredSeconds, err = exp.ReadPointTimes(f)
+		opts.MeasuredSeconds, err = fam.ReadPointTimes(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("# shard dispatch ordered by %d measured point times from %s\n\n",
-			len(opts.MeasuredSeconds), fromTimes)
+			len(opts.MeasuredSeconds), c.fromTimes)
 	}
-	points := exp.DefaultGrid()
-	shardK, shardN, err := parseShard(shard)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	if shardN > 1 {
-		points, opts.PointIndices = exp.ShardGrid(points, shardK, shardN)
-	}
-	if progress {
-		opts.Progress = func(done, total int) {
-			if done%25 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\rgrid: %d/%d instances", done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
-	}
-	var results []exp.InstanceResult
-	if csvOut != "" {
-		// The workers encode each shard's rows as they finish; the merged
-		// stream is byte-identical for any worker count.
-		writeCSV(csvOut, func(w io.Writer) error {
-			var err error
-			results, err = exp.RunGridCSV(w, points, opts)
-			return err
-		})
-	} else {
-		results = exp.RunGrid(points, opts)
-	}
-	writeDigests(digest, func(w io.Writer) error {
-		return exp.WritePointDigests(w, results, core.Table1Names())
-	})
-	if times != "" {
-		writeCSV(times, func(w io.Writer) error {
-			return exp.WritePointTimes(w, results)
-		})
-	}
-	errCount, stretchErrs, refineErrs := 0, 0, 0
-	for _, r := range results {
-		errCount += len(r.Errs)
-		stretchErrs += r.StretchErrs
-		refineErrs += r.RefineErrs
-	}
-	fmt.Printf("# grid: %d instances in %v (%d scheduler errors, %d stretch-solve failures, %d refine fallbacks)\n\n",
-		len(results), time.Since(start).Round(time.Second), errCount, stretchErrs, refineErrs)
-	if shardN > 1 || dryRun {
-		// Tables over a partial (or metric-less) grid would mislead; the
-		// nightly merge job renders them from the merged CSV instead.
-		fmt.Printf("# table rendering skipped (shard %d/%d, dryrun=%v); use -fromcsv on the merged CSV\n",
-			shardK, shardN, dryRun)
-		return
-	}
-	renderTables(nums, results)
-}
-
-// clusterFamily is one -tables view of the cluster experiment family: the
-// grid it runs, its local schedulers and its renderer.
-type clusterFamily struct {
-	grid       func() []exp.ClusterPoint
-	schedulers []string
-	render     func([]exp.ClusterResult, []string) string
-}
-
-// clusterFamilies maps -tables names to cluster family views. "faults"
-// runs SWRPT alone: under failures every local policy must account as
-// itself, and SWRPT is the paper's best-practice list policy.
-var clusterFamilies = map[string]clusterFamily{
-	"cluster": {exp.DefaultClusterGrid, exp.DefaultClusterSchedulers(), exp.RenderClusterTables},
-	"faults":  {exp.DefaultFaultGrid, []string{"SWRPT"}, exp.RenderFaultTables},
-}
-
-// runCluster runs the cluster family view registered as name. It mirrors
-// runTables' sharding, CSV streaming and digest contract, keyed on
-// (machines, balancer, density, rate) points.
-func runCluster(name string, fam clusterFamily, runs int, seed int64, target, workers int, csvOut string, progress bool, shard string, dryRun bool, digest, fromCSV string) {
-	var results []exp.ClusterResult
-	digests := func(w io.Writer) error {
-		return exp.WriteClusterPointDigests(w, results, fam.schedulers)
-	}
-	if fromCSV != "" {
-		f, err := os.Open(fromCSV)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if results, err = exp.ReadClusterCSV(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# %d %s instances read from %s\n\n", len(results), name, fromCSV)
-		writeDigests(digest, digests)
-		fmt.Println(fam.render(results, fam.schedulers))
-		return
-	}
-
-	start := time.Now()
-	opts := exp.ClusterOptions{
-		Runs:       runs,
-		Seed:       seed,
-		Schedulers: fam.schedulers,
-		TargetJobs: target,
-		Workers:    workers,
-		DryRun:     dryRun,
-	}
-	points := fam.grid()
-	shardK, shardN, err := parseShard(shard)
+	shardK, shardN, err := parseShard(c.shard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
@@ -377,7 +283,7 @@ func runCluster(name string, fam clusterFamily, runs int, seed int64, target, wo
 	if shardN > 1 {
 		points, opts.PointIndices = exp.ShardPoints(points, shardK, shardN)
 	}
-	if progress {
+	if c.progress {
 		opts.Progress = func(done, total int) {
 			if done%25 == 0 || done == total {
 				fmt.Fprintf(os.Stderr, "\r%s: %d/%d instances", name, done, total)
@@ -387,31 +293,42 @@ func runCluster(name string, fam clusterFamily, runs int, seed int64, target, wo
 			}
 		}
 	}
-	if csvOut != "" {
-		writeCSV(csvOut, func(w io.Writer) error {
+	if c.csv != "" {
+		// The workers encode each shard's rows as they finish; the merged
+		// stream is byte-identical for any worker count.
+		writeCSV(c.csv, func(w io.Writer) error {
 			var err error
-			results, err = exp.RunClusterCSV(w, points, opts)
+			results, err = fam.RunCSV(w, points, opts)
 			return err
 		})
 	} else {
-		results = exp.RunCluster(points, opts)
+		results = fam.Run(points, opts)
 	}
-	writeDigests(digest, digests)
-	errCount, retries := 0, 0
+	writeDigests(c.digest, digests)
+	if c.times != "" {
+		writeCSV(c.times, func(w io.Writer) error {
+			return fam.WritePointTimes(w, results)
+		})
+	}
+	errCount, stretchErrs, refineErrs, retries := 0, 0, 0, 0
 	for _, r := range results {
 		errCount += len(r.Errs)
-		for _, s := range fam.schedulers {
+		stretchErrs += r.StretchErrs
+		refineErrs += r.RefineErrs
+		for _, s := range schedulers {
 			retries += r.Retries[s]
 		}
 	}
-	fmt.Printf("# %s: %d instances in %v (%d scheduler errors, %d retries)\n\n",
-		name, len(results), time.Since(start).Round(time.Second), errCount, retries)
-	if shardN > 1 || dryRun {
+	fmt.Printf("# %s: %d instances in %v (%d scheduler errors, %d stretch-solve failures, %d refine fallbacks, %d retries)\n\n",
+		name, len(results), time.Since(start).Round(time.Second), errCount, stretchErrs, refineErrs, retries)
+	if shardN > 1 || c.dryRun {
+		// Tables over a partial (or metric-less) grid would mislead; the
+		// nightly merge job renders them from the merged CSV instead.
 		fmt.Printf("# table rendering skipped (shard %d/%d, dryrun=%v); use -fromcsv on the merged CSV\n",
-			shardK, shardN, dryRun)
+			shardK, shardN, c.dryRun)
 		return
 	}
-	fmt.Println(fam.render(results, fam.schedulers))
+	fmt.Println(render(results, schedulers))
 }
 
 func runFigure(which string, runs int, seed int64, workers int, csvOut string) {

@@ -26,8 +26,8 @@ func clusterTestPoints() []ClusterPoint {
 	}
 }
 
-func clusterTestOptions(workers int) ClusterOptions {
-	return ClusterOptions{
+func clusterTestOptions(workers int) Options {
+	return Options{
 		Runs:       2,
 		Seed:       23,
 		TargetJobs: 8,
@@ -45,8 +45,8 @@ func faultTestPoints() []ClusterPoint {
 	}
 }
 
-func faultTestOptions(workers int) ClusterOptions {
-	return ClusterOptions{
+func faultTestOptions(workers int) Options {
+	return Options{
 		Runs:       2,
 		Seed:       31,
 		TargetJobs: 8,
@@ -59,18 +59,18 @@ func faultTestOptions(workers int) ClusterOptions {
 // family: results, both rendered views, the merged CSV stream and the
 // per-point digests must be byte-identical for 1 worker and NumCPU
 // workers. It returns the 1-worker results.
-func checkWorkerInvariance(t *testing.T, points []ClusterPoint, opts func(workers int) ClusterOptions) []ClusterResult {
+func checkWorkerInvariance(t *testing.T, points []ClusterPoint, opts func(workers int) Options) []ClusterResult {
 	t.Helper()
 	n := runtime.NumCPU()
 	if n < 2 {
 		n = 4
 	}
 	var csv1, csvN bytes.Buffer
-	res1, err := RunClusterCSV(&csv1, points, opts(1))
+	res1, err := Cluster.RunCSV(&csv1, points, opts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resN, err := RunClusterCSV(&csvN, points, opts(n))
+	resN, err := Cluster.RunCSV(&csvN, points, opts(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func checkWorkerInvariance(t *testing.T, points []ClusterPoint, opts func(worker
 		}
 	}
 
-	sched := opts(0).withDefaults().Schedulers
+	sched := Cluster.withDefaults(opts(0)).Schedulers
 	for _, render := range []func([]ClusterResult, []string) string{RenderClusterTables, RenderFaultTables} {
 		if t1, tN := render(res1, sched), render(resN, sched); t1 != tN {
 			t.Fatalf("rendered tables differ:\n%s\nvs\n%s", t1, tN)
@@ -105,11 +105,11 @@ func checkWorkerInvariance(t *testing.T, points []ClusterPoint, opts func(worker
 	if csv1.Len() == 0 {
 		t.Fatal("CSV output empty")
 	}
-	d1, err := ClusterPointDigests(res1, sched)
+	d1, err := Cluster.Digests(res1, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dN, err := ClusterPointDigests(resN, sched)
+	dN, err := Cluster.Digests(resN, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +144,12 @@ func TestFaultsWorkerInvariance(t *testing.T) {
 // metrics to running the very same generated instances through the core
 // registry directly.
 func TestClusterSingleMachineMatchesSinglePlatform(t *testing.T) {
-	copts := clusterTestOptions(1).withDefaults()
+	copts := Cluster.withDefaults(clusterTestOptions(1))
 	p := ClusterPoint{Machines: 1, Balancer: "single", Density: 1.5}
-	cres := RunCluster([]ClusterPoint{p}, copts)
+	cres := Cluster.Run([]ClusterPoint{p}, copts)
 
 	for run := 0; run < copts.Runs; run++ {
-		inst, err := copts.config(p, run, 0).Generate()
+		inst, err := Cluster.config(copts, p, run, 0).Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,12 +176,12 @@ func TestClusterSingleMachineMatchesSinglePlatform(t *testing.T) {
 // there must yield exactly the stretches of a world run with no plan at
 // all, and no retries or lost work.
 func TestFaultsZeroRateMatchesCluster(t *testing.T) {
-	opts := faultTestOptions(1).withDefaults()
+	opts := Cluster.withDefaults(faultTestOptions(1))
 	p := ClusterPoint{Machines: 2, Balancer: "kchoices", Density: 1.0}
-	res := RunCluster([]ClusterPoint{p}, opts)
+	res := Cluster.Run([]ClusterPoint{p}, opts)
 	cr := core.NewClusterRunner()
 	for run, r := range res {
-		inst, err := opts.config(p, run, 0).Generate()
+		inst, err := Cluster.config(opts, p, run, 0).Generate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,32 +209,32 @@ func TestFaultsZeroRateMatchesCluster(t *testing.T) {
 	}
 }
 
-// checkCSVRoundTrip: ReadClusterCSV must reconstruct the results a CSV
+// checkCSVRoundTrip: Cluster.ReadCSV must reconstruct the results a CSV
 // pass wrote, and re-encoding must reproduce the bytes and digests — the
 // property the nightly -fromcsv merge and digest check stand on.
-func checkCSVRoundTrip(t *testing.T, points []ClusterPoint, opts ClusterOptions) {
+func checkCSVRoundTrip(t *testing.T, points []ClusterPoint, opts Options) {
 	t.Helper()
 	var buf bytes.Buffer
-	results, err := RunClusterCSV(&buf, points, opts)
+	results, err := Cluster.RunCSV(&buf, points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadClusterCSV(bytes.NewReader(buf.Bytes()))
+	back, err := Cluster.ReadCSV(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rewritten bytes.Buffer
-	if err := WriteClusterCSV(&rewritten, back, opts.Schedulers); err != nil {
+	if err := Cluster.WriteCSV(&rewritten, back, opts.Schedulers); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), rewritten.Bytes()) {
 		t.Fatalf("re-encoded CSV differs:\n%q\nvs\n%q", buf.String(), rewritten.String())
 	}
-	d1, err := ClusterPointDigests(results, opts.Schedulers)
+	d1, err := Cluster.Digests(results, opts.Schedulers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ClusterPointDigests(back, opts.Schedulers)
+	d2, err := Cluster.Digests(back, opts.Schedulers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +247,8 @@ func TestClusterCSVRoundTrip(t *testing.T) {
 	checkCSVRoundTrip(t, clusterTestPoints()[:3], clusterTestOptions(2))
 	// A dump in another column layout (here the pre-rate one) is refused.
 	old := "machines,balancer,density,run,jobs,scheduler,max_stretch,sum_stretch\n"
-	if _, err := ReadClusterCSV(strings.NewReader(old)); err == nil {
-		t.Fatal("ReadClusterCSV accepted a header without the rate column")
+	if _, err := Cluster.ReadCSV(strings.NewReader(old)); err == nil {
+		t.Fatal("Cluster.ReadCSV accepted a header without the rate column")
 	}
 }
 
@@ -261,11 +261,11 @@ func TestFaultsCSVRoundTrip(t *testing.T) {
 // headers) into the merged dump, and the recomputed digests of the merged
 // read-back must equal both the union of the shard digests and the digests
 // of an unsharded run.
-func checkShardedMerge(t *testing.T, points []ClusterPoint, opts ClusterOptions) {
+func checkShardedMerge(t *testing.T, points []ClusterPoint, opts Options) {
 	t.Helper()
 	const nShards = 2
 	var full bytes.Buffer
-	if _, err := RunClusterCSV(&full, points, opts); err != nil {
+	if _, err := Cluster.RunCSV(&full, points, opts); err != nil {
 		t.Fatal(err)
 	}
 	var merged bytes.Buffer
@@ -275,11 +275,11 @@ func checkShardedMerge(t *testing.T, points []ClusterPoint, opts ClusterOptions)
 		sopts := opts
 		sopts.PointIndices = indices
 		var buf bytes.Buffer
-		res, err := RunClusterCSV(&buf, shard, sopts)
+		res, err := Cluster.RunCSV(&buf, shard, sopts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, err := ClusterPointDigests(res, opts.Schedulers)
+		lines, err := Cluster.Digests(res, opts.Schedulers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,11 +296,11 @@ func checkShardedMerge(t *testing.T, points []ClusterPoint, opts ClusterOptions)
 		want[l] = true
 	}
 	for _, dump := range []*bytes.Buffer{&merged, &full} {
-		back, err := ReadClusterCSV(bytes.NewReader(dump.Bytes()))
+		back, err := Cluster.ReadCSV(bytes.NewReader(dump.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ClusterPointDigests(back, opts.Schedulers)
+		got, err := Cluster.Digests(back, opts.Schedulers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,11 +325,11 @@ func TestFaultsShardedMatrixMerge(t *testing.T) {
 
 // checkDryRun: a dry run must produce the exact row structure of a real
 // run (same instances, same schedulers) with every metric NA.
-func checkDryRun(t *testing.T, points []ClusterPoint, opts ClusterOptions) {
+func checkDryRun(t *testing.T, points []ClusterPoint, opts Options) {
 	t.Helper()
-	live := RunCluster(points, opts)
+	live := Cluster.Run(points, opts)
 	opts.DryRun = true
-	dry := RunCluster(points, opts)
+	dry := Cluster.Run(points, opts)
 	if len(dry) != len(points)*opts.Runs {
 		t.Fatalf("%d results, want %d", len(dry), len(points)*opts.Runs)
 	}
@@ -344,10 +344,10 @@ func checkDryRun(t *testing.T, points []ClusterPoint, opts ClusterOptions) {
 		}
 	}
 	var dryCSV, liveCSV bytes.Buffer
-	if err := WriteClusterCSV(&dryCSV, dry, opts.Schedulers); err != nil {
+	if err := Cluster.WriteCSV(&dryCSV, dry, opts.Schedulers); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteClusterCSV(&liveCSV, live, opts.Schedulers); err != nil {
+	if err := Cluster.WriteCSV(&liveCSV, live, opts.Schedulers); err != nil {
 		t.Fatal(err)
 	}
 	if dryLines, liveLines := strings.Count(dryCSV.String(), "\n"), strings.Count(liveCSV.String(), "\n"); dryLines != liveLines {

@@ -6,32 +6,38 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 )
 
-// resultsHeader is the column layout of the raw per-instance metric dump.
-var resultsHeader = []string{"sites", "databanks", "availability", "density",
-	"run", "jobs", "scheduler", "max_stretch", "sum_stretch"}
+// header is the column layout of the family's raw per-instance metric
+// dump: the point's columns, then one row per scheduler per instance.
+func (f *Family[P]) header() []string {
+	h := append(slices.Clip(f.pointCols), "run", "jobs", "scheduler", "max_stretch", "sum_stretch")
+	if f.faultCols {
+		h = append(h, "retries", "lost_work")
+	}
+	return h
+}
 
-// writeResultRows encodes one instance's per-scheduler rows.
-func writeResultRows(cw *csv.Writer, r *InstanceResult, schedulers []string) error {
+// writeRows encodes one instance's per-scheduler rows; a scheduler the
+// instance has no entry for gets no row.
+func (f *Family[P]) writeRows(cw *csv.Writer, r *Result[P], schedulers []string) error {
 	for _, name := range schedulers {
-		maxS, okM := r.MaxStretch[name]
-		sumS, okS := r.SumStretch[name]
-		if !okM && !okS {
+		maxS, ok := r.MaxStretch[name]
+		if !ok {
 			continue
 		}
-		row := []string{
-			strconv.Itoa(r.Point.Sites),
-			strconv.Itoa(r.Point.Databanks),
-			formatFloat(r.Point.Availability),
-			formatFloat(r.Point.Density),
+		row := append(f.format(r.Point),
 			strconv.Itoa(r.Run),
 			strconv.Itoa(r.Jobs),
 			name,
 			formatFloat(maxS),
-			formatFloat(sumS),
+			formatFloat(r.SumStretch[name]))
+		if f.faultCols {
+			row = append(row, strconv.Itoa(r.Retries[name]), formatFloat(r.LostWork[name]))
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -40,14 +46,13 @@ func writeResultRows(cw *csv.Writer, r *InstanceResult, schedulers []string) err
 	return nil
 }
 
-// encodeShard encodes one completed shard's rows (header-less) into w,
-// surfacing both row-encode and flush errors. It is the per-shard encode
-// step of RunGridCSV, split out so the error path is testable with a
-// failing writer.
-func encodeShard(w io.Writer, shard []InstanceResult, schedulers []string) error {
+// encodeShard encodes results' rows (header-less) into w, surfacing both
+// row-encode and flush errors. It is the per-shard encode step of RunCSV
+// and the per-instance step of the digests.
+func (f *Family[P]) encodeShard(w io.Writer, results []Result[P], schedulers []string) error {
 	cw := csv.NewWriter(w)
-	for i := range shard {
-		if err := writeResultRows(cw, &shard[i], schedulers); err != nil {
+	for i := range results {
+		if err := f.writeRows(cw, &results[i], schedulers); err != nil {
 			return err
 		}
 	}
@@ -55,51 +60,39 @@ func encodeShard(w io.Writer, shard []InstanceResult, schedulers []string) error
 	return cw.Error()
 }
 
-// WriteResultsCSV dumps raw per-instance metrics (one row per scheduler per
-// instance) for external analysis — the harness's tables are aggregates;
-// this is the underlying data.
-func WriteResultsCSV(w io.Writer, results []InstanceResult, schedulers []string) error {
+// writeHeader writes one CSV header row to w.
+func writeHeader(w io.Writer, header []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(resultsHeader); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for i := range results {
-		if err := writeResultRows(cw, &results[i], schedulers); err != nil {
-			return err
-		}
-	}
 	cw.Flush()
 	return cw.Error()
 }
 
-// csvStream is the in-order shard flusher shared by the CSV-streaming grid
-// runners: completed shards hand their encoded bytes to add, which flushes
-// to the underlying writer as soon as every earlier shard has been written,
-// so task order — and therefore the output bytes — is identical for any
-// worker count and any dispatch order. Encoded shards wait in memory (a
-// few MB at paper scale) until the in-order cursor reaches them, so a run
-// killed midway keeps only the contiguous task-order prefix that happened
-// to complete.
+// WriteCSV dumps raw per-instance metrics (one row per scheduler per
+// instance) for external analysis — the harness's tables are aggregates;
+// this is the underlying data.
+func (f *Family[P]) WriteCSV(w io.Writer, results []Result[P], schedulers []string) error {
+	if err := writeHeader(w, f.header()); err != nil {
+		return err
+	}
+	return f.encodeShard(w, results, schedulers)
+}
+
+// csvStream is RunCSV's in-order shard flusher: completed shards hand
+// their encoded bytes to add, which flushes to the underlying writer as
+// soon as every earlier shard has been written, so task order — and
+// therefore the output bytes — is identical for any worker count and any
+// dispatch order. Encoded shards wait in memory (a few MB at paper scale)
+// until the in-order cursor reaches them, so a run killed midway keeps
+// only the contiguous task-order prefix that happened to complete.
 type csvStream struct {
 	w       io.Writer
 	mu      sync.Mutex
 	pending map[int][]byte // encoded shards not yet flushable
 	next    int            // lowest shard index not yet written
 	werr    error
-}
-
-// newCSVStream writes the header row and returns the stream, or the header
-// write error.
-func newCSVStream(w io.Writer, header []string) (*csvStream, error) {
-	hc := csv.NewWriter(w)
-	if err := hc.Write(header); err != nil {
-		return nil, err
-	}
-	hc.Flush()
-	if err := hc.Error(); err != nil {
-		return nil, err
-	}
-	return &csvStream{w: w, pending: map[int][]byte{}}, nil
 }
 
 // failed reports whether the stream has already recorded an error, so
@@ -142,25 +135,25 @@ func (s *csvStream) err() error {
 	return s.werr
 }
 
-// RunGridCSV runs the grid and streams the raw per-instance metrics to w
-// while the grid is still running: each worker encodes its shard's rows
-// while the results are hot and hands them to the in-order csvStream
-// flush. The grid results are returned as from RunGrid, together with the
-// first encode or write error (the grid always runs to completion;
-// encoding is skipped once a write has failed).
-func RunGridCSV(w io.Writer, points []GridPoint, opts Options) ([]InstanceResult, error) {
-	opts = opts.withDefaults()
-	stream, err := newCSVStream(w, resultsHeader)
-	if err != nil {
+// RunCSV runs the family over points and streams the raw per-instance
+// metrics to w while the run is still going: each worker encodes its
+// shard's rows while the results are hot and hands them to the in-order
+// csvStream flush. The results are returned as from Run, together with the
+// first encode or write error (the run always completes; encoding is
+// skipped once a write has failed).
+func (f *Family[P]) RunCSV(w io.Writer, points []P, o Options) ([]Result[P], error) {
+	o = f.withDefaults(o)
+	if err := writeHeader(w, f.header()); err != nil {
 		return nil, err
 	}
-	results := runGridSharded(points, opts, func(si int, shard []InstanceResult) {
+	stream := &csvStream{w: w, pending: map[int][]byte{}}
+	results := f.run(points, o, func(si int, shard []Result[P]) {
 		if stream.failed() {
 			return
 		}
 		var buf bytes.Buffer
-		if err := encodeShard(&buf, shard, opts.Schedulers); err != nil {
-			stream.fail(fmt.Errorf("exp: encoding shard %d: %w", si, err))
+		if err := f.encodeShard(&buf, shard, o.Schedulers); err != nil {
+			stream.fail(fmt.Errorf("exp: encoding %s shard %d: %w", f.name, si, err))
 			return
 		}
 		stream.add(si, buf.Bytes())
@@ -168,94 +161,102 @@ func RunGridCSV(w io.Writer, points []GridPoint, opts Options) ([]InstanceResult
 	return results, stream.err()
 }
 
-// ReadResultsCSV parses a raw per-instance metric dump produced by
-// WriteResultsCSV / RunGridCSV (or by concatenating per-shard dumps, as
-// the nightly matrix merge does) back into InstanceResults, grouping the
-// per-scheduler rows of one instance by (grid point, run). Row order
-// within an instance is preserved; instances appear in first-row order.
-// It is the read side that lets tables be aggregated from an existing CSV
-// instead of a live grid pass.
-func ReadResultsCSV(r io.Reader) ([]InstanceResult, error) {
+// fields reads one CSV row's typed columns: the first unparsable column
+// sets err, and later ones read as zero.
+type fields struct {
+	row, header []string
+	what        string // the file kind, for errors
+	line        int
+	err         error
+}
+
+func (c *fields) check(col int, err error) {
+	if err != nil && c.err == nil {
+		c.err = fmt.Errorf("exp: %s line %d: bad %s: %w", c.what, c.line, c.header[col], err)
+	}
+}
+
+func (c *fields) integer(col int) int {
+	v, err := strconv.Atoi(c.row[col])
+	c.check(col, err)
+	return v
+}
+
+func (c *fields) num(col int) float64 {
+	v, err := parseFloat(c.row[col])
+	c.check(col, err)
+	return v
+}
+
+// readCSV reads a CSV whose header must equal header, calling row for each
+// data row with its typed-column reader; row's returned error, or the
+// first bad column, stops the read.
+func readCSV(r io.Reader, what string, header []string, row func(c *fields) error) error {
 	cr := csv.NewReader(r)
-	header, err := cr.Read()
+	got, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("exp: results CSV header: %w", err)
+		return fmt.Errorf("exp: %s header: %w", what, err)
 	}
-	if len(header) != len(resultsHeader) {
-		return nil, fmt.Errorf("exp: results CSV header has %d columns, want %d",
-			len(header), len(resultsHeader))
+	if !slices.Equal(got, header) {
+		return fmt.Errorf("exp: %s header is %q, want %q",
+			what, strings.Join(got, ","), strings.Join(header, ","))
 	}
-	for i, name := range resultsHeader {
-		if header[i] != name {
-			return nil, fmt.Errorf("exp: results CSV column %d is %q, want %q",
-				i, header[i], name)
-		}
-	}
-	type instKey struct {
-		point GridPoint
-		run   int
-	}
-	var results []InstanceResult
-	index := map[instKey]int{}
 	for line := 2; ; line++ {
-		row, err := cr.Read()
+		rec, err := cr.Read()
 		if err == io.EOF {
-			return results, nil
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("exp: results CSV line %d: %w", line, err)
+			return fmt.Errorf("exp: %s line %d: %w", what, line, err)
 		}
-		bad := func(col string, err error) error {
-			return fmt.Errorf("exp: results CSV line %d: bad %s: %w", line, col, err)
+		c := fields{row: rec, header: header, what: what, line: line}
+		if err := row(&c); err != nil {
+			return err
 		}
-		sites, err := strconv.Atoi(row[0])
-		if err != nil {
-			return nil, bad("sites", err)
+	}
+}
+
+// instKey identifies one instance of a read-back dump.
+type instKey[P comparable] struct {
+	point P
+	run   int
+}
+
+// ReadCSV parses a raw metric dump produced by WriteCSV or RunCSV (or by
+// concatenating per-shard dumps, as the nightly matrix merge does) back
+// into Results, grouping the per-scheduler rows of one instance by (point,
+// run). Row order within an instance is preserved; instances appear in
+// first-row order. A dump in any other column layout is rejected at the
+// header. It is the read side that lets tables be aggregated from an
+// existing CSV instead of a live pass.
+func (f *Family[P]) ReadCSV(r io.Reader) ([]Result[P], error) {
+	var results []Result[P]
+	index := map[instKey[P]]int{}
+	n := len(f.pointCols)
+	err := readCSV(r, f.name+" CSV", f.header(), func(c *fields) error {
+		key := instKey[P]{f.parse(c), c.integer(n)}
+		jobs := c.integer(n + 1)
+		maxS, sumS := c.num(n+3), c.num(n+4)
+		retries, lost := 0, 0.0
+		if f.faultCols {
+			retries, lost = c.integer(n+5), c.num(n+6)
 		}
-		dbs, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, bad("databanks", err)
+		if c.err != nil {
+			return c.err
 		}
-		avail, err := parseFloat(row[2])
-		if err != nil {
-			return nil, bad("availability", err)
-		}
-		density, err := parseFloat(row[3])
-		if err != nil {
-			return nil, bad("density", err)
-		}
-		run, err := strconv.Atoi(row[4])
-		if err != nil {
-			return nil, bad("run", err)
-		}
-		jobs, err := strconv.Atoi(row[5])
-		if err != nil {
-			return nil, bad("jobs", err)
-		}
-		maxS, err := parseFloat(row[7])
-		if err != nil {
-			return nil, bad("max_stretch", err)
-		}
-		sumS, err := parseFloat(row[8])
-		if err != nil {
-			return nil, bad("sum_stretch", err)
-		}
-		key := instKey{GridPoint{sites, dbs, avail, density}, run}
 		ri, ok := index[key]
 		if !ok {
 			ri = len(results)
 			index[key] = ri
-			results = append(results, InstanceResult{
-				Point:      key.point,
-				Run:        run,
-				Jobs:       jobs,
-				MaxStretch: map[string]float64{},
-				SumStretch: map[string]float64{},
-			})
+			results = append(results, newResult(key.point, key.run, jobs))
 		}
-		results[ri].MaxStretch[row[6]] = maxS
-		results[ri].SumStretch[row[6]] = sumS
+		results[ri].record(c.row[n+2], maxS, sumS, retries, lost)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return results, nil
 }
 
 // parseFloat reads a formatFloat value, mapping "NA" back to NaN.

@@ -19,7 +19,7 @@ func TestWriteResultsCSV(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteResultsCSV(&buf, results, []string{"SWRPT", "Bender98", "absent"}); err != nil {
+	if err := Grid.WriteCSV(&buf, results, []string{"SWRPT", "Bender98", "absent"}); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()
@@ -56,9 +56,9 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestEncodeShardPropagatesWriterError pins the noswallow fix for the old
-// `_ = writeResultRows(...)` at csv.go:100: the per-shard encode step must
-// surface its writer's error instead of discarding it.
+// TestEncodeShardPropagatesWriterError pins the noswallow fix for a
+// discarded row-encode error: the per-shard encode step must surface its
+// writer's error instead of discarding it.
 func TestEncodeShardPropagatesWriterError(t *testing.T) {
 	shard := []InstanceResult{
 		{
@@ -69,23 +69,23 @@ func TestEncodeShardPropagatesWriterError(t *testing.T) {
 		},
 	}
 	w := &failingWriter{allow: 0}
-	err := encodeShard(w, shard, []string{"SWRPT"})
+	err := Grid.encodeShard(w, shard, []string{"SWRPT"})
 	if !errors.Is(err, errWriterBroken) {
-		t.Fatalf("encodeShard on failing writer: err = %v, want %v", err, errWriterBroken)
+		t.Fatalf("Grid.encodeShard on failing writer: err = %v, want %v", err, errWriterBroken)
 	}
 }
 
 // TestRunGridCSVPropagatesWriteError runs a real (dry) grid into a writer
-// that dies after the header: RunGridCSV must return the write error —
+// that dies after the header: Grid.RunCSV must return the write error —
 // never a silently truncated CSV — while the grid itself still runs to
 // completion.
 func TestRunGridCSVPropagatesWriteError(t *testing.T) {
 	points := []GridPoint{{Sites: 3, Databanks: 3, Availability: 0.6, Density: 1}}
 	opts := Options{Runs: 3, Seed: 1, Workers: 2, DryRun: true}
 	w := &failingWriter{allow: 1} // header write succeeds, first shard write fails
-	results, err := RunGridCSV(w, points, opts)
+	results, err := Grid.RunCSV(w, points, opts)
 	if !errors.Is(err, errWriterBroken) {
-		t.Fatalf("RunGridCSV on failing writer: err = %v, want %v", err, errWriterBroken)
+		t.Fatalf("Grid.RunCSV on failing writer: err = %v, want %v", err, errWriterBroken)
 	}
 	if len(results) != len(points)*opts.Runs {
 		t.Fatalf("grid must run to completion despite the write error: %d results, want %d",

@@ -20,15 +20,15 @@ func TestPointDigestsShardMergeInvariance(t *testing.T) {
 	var shardLines []string
 	var merged bytes.Buffer
 	for k := 0; k < n; k++ {
-		shardPoints, indices := ShardGrid(points, k, n)
+		shardPoints, indices := ShardPoints(points, k, n)
 		shardOpts := opts
 		shardOpts.PointIndices = indices
 		var csvBuf bytes.Buffer
-		results, err := RunGridCSV(&csvBuf, shardPoints, shardOpts)
+		results, err := Grid.RunCSV(&csvBuf, shardPoints, shardOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, err := PointDigests(results, opts.Schedulers)
+		lines, err := Grid.Digests(results, opts.Schedulers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,11 +42,11 @@ func TestPointDigestsShardMergeInvariance(t *testing.T) {
 	}
 	sort.Strings(shardLines)
 
-	parsed, err := ReadResultsCSV(bytes.NewReader(merged.Bytes()))
+	parsed, err := Grid.ReadCSV(bytes.NewReader(merged.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recomputed, err := PointDigests(parsed, opts.Schedulers)
+	recomputed, err := Grid.Digests(parsed, opts.Schedulers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPointDigestsSkipRowlessPoints(t *testing.T) {
 		MaxStretch: map[string]float64{"SWRPT": 1.5},
 		SumStretch: map[string]float64{"SWRPT": 2.5},
 	}
-	lines, err := PointDigests([]InstanceResult{rowless, withRows}, []string{"SWRPT"})
+	lines, err := Grid.Digests([]InstanceResult{rowless, withRows}, []string{"SWRPT"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +93,22 @@ func TestPointDigestsDetectCorruption(t *testing.T) {
 	opts := gridTestOptions(1)
 
 	var csvBuf bytes.Buffer
-	results, err := RunGridCSV(&csvBuf, points, opts)
+	results, err := Grid.RunCSV(&csvBuf, points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PointDigests(results, opts.Schedulers)
+	want, err := Grid.Digests(results, opts.Schedulers)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	corrupt := func(mangle func(string) string) []string {
 		t.Helper()
-		parsed, err := ReadResultsCSV(strings.NewReader(mangle(csvBuf.String())))
+		parsed, err := Grid.ReadCSV(strings.NewReader(mangle(csvBuf.String())))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, err := PointDigests(parsed, opts.Schedulers)
+		lines, err := Grid.Digests(parsed, opts.Schedulers)
 		if err != nil {
 			t.Fatal(err)
 		}

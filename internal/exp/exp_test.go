@@ -66,7 +66,7 @@ func TestMiniGridEndToEnd(t *testing.T) {
 		TargetJobs: 12,
 		Schedulers: []string{"Offline", "Online", "SWRPT", "SRPT", "MCT"},
 	}
-	results := RunGrid(points, opts)
+	results := Grid.Run(points, opts)
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -101,7 +101,7 @@ func TestBender98SiteLimitSkips(t *testing.T) {
 		TargetJobs: 8,
 		Schedulers: []string{"Bender98", "SWRPT"},
 	}
-	results := RunGrid(points, opts)
+	results := Grid.Run(points, opts)
 	if len(results) != 1 {
 		t.Fatal("missing result")
 	}

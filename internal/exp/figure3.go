@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 
 	"stretchsched/internal/core"
 	"stretchsched/internal/model"
@@ -76,26 +75,14 @@ func RunFigure3(opts Fig3Options) []Fig3Point {
 		ok                   bool
 	}
 	samples := make([]sample, len(cells))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner := core.NewRunner()
-			for ci := range work {
-				c := cells[ci]
-				s := sample{di: c.di}
-				s.optDeg, s.nonDeg, s.gain, s.ok = fig3One(runner, opts, c.di, c.li, c.run)
-				samples[ci] = s
-			}
-		}()
-	}
-	for ci := range cells {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
+	// Every cell weighs the same, so dispatch is in cell order.
+	runSharded(len(cells), opts.Workers, core.NewRunner, orderByWeight(make([]float64, numShards(len(cells)))),
+		func(runner *core.Runner, ci int) {
+			c := cells[ci]
+			s := sample{di: c.di}
+			s.optDeg, s.nonDeg, s.gain, s.ok = fig3One(runner, opts, c.di, c.li, c.run)
+			samples[ci] = s
+		}, nil, nil)
 
 	points := make([]Fig3Point, len(opts.Densities))
 	aggs := make([][3]*stats.Agg, len(opts.Densities))
@@ -145,12 +132,12 @@ func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, no
 	}
 	// The runner reuses one schedule buffer across runs, so each variant's
 	// metrics must be read off before the next run overwrites the trace.
-	optSched, err := runPlannedSafe(runner, inst, core.MustGet("Online"))
+	optSched, err := safely(func() (*model.Schedule, error) { return runner.Run(core.MustGet("Online"), inst) })
 	if err != nil {
 		return 0, 0, 0, false
 	}
 	optMax, optSum := optSched.MaxStretch(inst), optSched.SumStretch(inst)
-	nonSched, err := runPlannedSafe(runner, inst, core.MustGet("Online-NonOpt"))
+	nonSched, err := safely(func() (*model.Schedule, error) { return runner.Run(core.MustGet("Online-NonOpt"), inst) })
 	if err != nil {
 		return 0, 0, 0, false
 	}
@@ -163,15 +150,6 @@ func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, no
 	// realised schedule beating the bisected optimum); clamp at zero as the
 	// paper's anomaly discussion suggests.
 	return math.Max(optDeg, -100), math.Max(nonDeg, -100), gain, true
-}
-
-func runPlannedSafe(r *core.Runner, inst *model.Instance, s core.Scheduler) (sched *model.Schedule, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("panic: %v", rec)
-		}
-	}()
-	return r.Run(s, inst)
 }
 
 // RenderFigure3 formats the series as an aligned text table (one row per

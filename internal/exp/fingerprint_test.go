@@ -40,7 +40,7 @@ import (
 func TestGridFingerprint(t *testing.T) {
 	opts := Options{Runs: 1, TargetJobs: 10, Seed: 1}
 	var buf bytes.Buffer
-	results, err := RunGridCSV(&buf, DefaultGrid(), opts)
+	results, err := Grid.RunCSV(&buf, DefaultGrid(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

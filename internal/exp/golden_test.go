@@ -48,14 +48,14 @@ func TestClusterGoldenTables(t *testing.T) {
 		{"faults", DefaultFaultGrid(), []string{"SWRPT"}, RenderFaultTables},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := ClusterOptions{Runs: 2, TargetJobs: 8, Seed: 1, Schedulers: tc.schedulers}
+			opts := Options{Runs: 2, TargetJobs: 8, Seed: 1, Schedulers: tc.schedulers}
 			var buf bytes.Buffer
-			results, err := RunClusterCSV(&buf, tc.grid, opts)
+			results, err := Cluster.RunCSV(&buf, tc.grid, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, tc.name, tc.render(results, tc.schedulers))
-			back, err := ReadClusterCSV(&buf)
+			back, err := Cluster.ReadCSV(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 // Package exp is the experiment harness reproducing the paper's evaluation
 // (§5): the 162-configuration grid behind Tables 1–16 and the density sweep
-// behind Figure 3.
+// behind Figure 3, plus the cluster family built on the same harness.
 //
 // Scale note: the paper simulates 15-minute arrival windows and 200
 // instances per configuration, which (with the per-databank density
@@ -11,10 +11,10 @@
 // scale). Ratios-to-best — the quantity every table reports — are shape
 // metrics and survive this rescaling.
 //
-// The grid runner is a sharded worker pool: the (point, run) task space is
-// cut into fixed-size contiguous shards which workers pull from a channel,
-// dispatched largest-estimated-cost first so heavy points cannot straggle
-// at the end of the run. Each worker owns one core.Runner (hence one
+// Both families run on one sharded worker pool: the (point, run) task
+// space is cut into fixed-size contiguous shards which workers pull from a
+// channel, dispatched largest-estimated-cost first so heavy points cannot
+// straggle at the end of the run. Each worker owns one runner (hence one
 // reusable simulation engine and one planner workspace), and every
 // instance's RNG seed derives from its (point, run) coordinates alone, so
 // results — and the merged per-shard CSV stream — are bitwise independent
@@ -23,8 +23,8 @@ package exp
 
 import (
 	"fmt"
-	"math"
-	"runtime"
+	"slices"
+	"strconv"
 
 	"stretchsched/internal/core"
 	"stretchsched/internal/model"
@@ -60,297 +60,107 @@ func DefaultGrid() []GridPoint {
 	return out
 }
 
-// Options controls a grid run.
-type Options struct {
-	Runs       int      // instances per configuration (paper: 200)
-	Seed       int64    // base seed; instance seeds derive deterministically
-	Schedulers []string // defaults to core.Table1Names()
-	// TargetJobs sizes each instance by expected job count (default 40).
-	TargetJobs int
-	// Horizon, when positive, fixes the arrival window in seconds instead
-	// of TargetJobs (paper scale: 900).
-	Horizon float64
-	// SizeRange overrides the databank size range (MB).
-	SizeRange [2]float64
-	// Bender98SiteLimit restricts Bender98 to platforms with at most this
-	// many sites (paper: 3, for cost reasons). 0 means 3.
-	Bender98SiteLimit int
-	// Workers bounds parallelism (0 = GOMAXPROCS). The worker count never
-	// affects results: instance seeds depend only on grid coordinates.
-	Workers int
-	// PointIndices, when non-nil, holds the global grid index of each
-	// entry of the points slice (len(PointIndices) == len(points)). It is
-	// how a sharded run — one slice of the grid per CI matrix job, see
-	// ShardGrid — derives exactly the per-(point, run) instance seeds of
-	// the unsharded grid: seeds depend on the global index, never on the
-	// position within the shard. Nil means points[i] is global index i.
-	PointIndices []int
-	// DryRun generates every instance but runs no scheduler, recording
-	// NaN for every metric. The result and CSV row structure is identical
-	// to a real run's at a tiny fraction of the cost, so a dry pass
-	// predicts the exact row count a sharded matrix must merge back
-	// together (the nightly workflow asserts this).
-	DryRun bool
-	// Progress, when non-nil, is called after every completed instance
-	// with the number of finished instances and the total. Calls are
-	// serialised across workers.
-	Progress func(done, total int)
-	// Clock, when non-nil, is a monotonic nanosecond clock used to measure
-	// each instance's scheduler wall time into InstanceResult.Seconds.
-	// Injected (rather than time.Now) so the harness itself stays free of
-	// wall-clock reads — results and CSV bytes never depend on it; the
-	// measurements feed the PointTimes sidecar, not the results stream.
-	Clock func() int64
-	// MeasuredSeconds, when non-nil, overrides the static pointWeight cost
-	// heuristic with measured per-point times from a prior pass
-	// (ReadPointTimes), so shard dispatch orders by observed cost. It only
-	// influences dispatch order, never results.
-	MeasuredSeconds map[GridPoint]float64
+// sizeRange is the databank size range (MB) of every grid and cluster
+// instance, scaled down so that TargetJobs-sized instances still overlap
+// in time the way 15-minute GriPPS runs do.
+var sizeRange = [2]float64{10, 200}
+
+// bender98SiteLimit restricts Bender98 to platforms with at most this many
+// sites (the paper's limit, for cost reasons).
+const bender98SiteLimit = 3
+
+// Grid is the paper's family: Tables 1–16 over the GridPoint grid, every
+// Table 1 scheduler by default.
+var Grid = Family[GridPoint]{
+	name:       "grid",
+	pointCols:  []string{"sites", "databanks", "availability", "density"},
+	targetJobs: 40,
+	schedulers: core.Table1Names,
+	format: func(p GridPoint) []string {
+		return []string{strconv.Itoa(p.Sites), strconv.Itoa(p.Databanks),
+			formatFloat(p.Availability), formatFloat(p.Density)}
+	},
+	parse: func(c *fields) GridPoint {
+		return GridPoint{c.integer(0), c.integer(1), c.num(2), c.num(3)}
+	},
+	config: gridConfig,
+	weight: gridWeight,
+	worker: gridWorker,
 }
 
-func (o Options) withDefaults() Options {
-	if o.Runs <= 0 {
-		o.Runs = 5
+// gridConfig builds the workload configuration for one grid point and run.
+func gridConfig(o Options, p GridPoint, run, pointIdx int) workload.Config {
+	target := o.TargetJobs
+	if o.Horizon > 0 {
+		target = 0 // fixed horizon overrides target sizing
 	}
-	if o.TargetJobs <= 0 {
-		o.TargetJobs = 40
-	}
-	if len(o.Schedulers) == 0 {
-		o.Schedulers = core.Table1Names()
-	}
-	if o.Bender98SiteLimit == 0 {
-		o.Bender98SiteLimit = 3
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SizeRange == [2]float64{} {
-		// Scaled-down databank sizes (MB) so that TargetJobs-sized
-		// instances still overlap in time the way 15-minute GriPPS runs do.
-		o.SizeRange = [2]float64{10, 200}
-	}
-	return o
-}
-
-// config builds the workload configuration for one grid point and run.
-func (o Options) config(p GridPoint, run, pointIdx int) workload.Config {
 	return workload.Config{
 		Sites:        p.Sites,
 		Databanks:    p.Databanks,
 		Availability: p.Availability,
 		Density:      p.Density,
 		Horizon:      o.Horizon,
-		TargetJobs:   chooseTarget(o),
-		SizeRange:    o.SizeRange,
-		Seed:         o.Seed + int64(pointIdx)*1_000_003 + int64(run)*7919,
+		TargetJobs:   target,
+		SizeRange:    sizeRange,
+		Seed:         o.seed(run, pointIdx, 0),
 	}
 }
 
-func chooseTarget(o Options) int {
-	if o.Horizon > 0 {
-		return 0 // fixed horizon overrides target sizing
-	}
-	return o.TargetJobs
-}
-
-// InstanceResult holds the raw metrics of every scheduler on one instance.
-// Absent schedulers (not run, or failed) are recorded as NaN.
-type InstanceResult struct {
-	Point      GridPoint
-	Run        int
-	Jobs       int
-	MaxStretch map[string]float64
-	SumStretch map[string]float64
-	Errs       []error
-	// StretchErrs and RefineErrs count the per-event solver failures the
-	// online schedulers recorded and fell back from (step-2 optimal
-	// stretch, step-3 System (2) refinement) on this instance — recorded
-	// diagnostics, not run errors; cmd/experiments sums them per pass.
-	StretchErrs int
-	RefineErrs  int
-	// Seconds is the measured scheduler wall time of this instance
-	// (Options.Clock; zero without one). It never enters the results CSV —
-	// worker-count invariance byte-compares that stream — only the
-	// PointTimes sidecar that feeds the next pass's dispatch order.
-	Seconds float64
-}
-
-// pointWeight estimates the relative simulation cost of one instance at p,
-// for shard dispatch ordering only — it never influences results. With
-// MeasuredSeconds (a prior pass's PointTimes) the observed cost wins;
-// otherwise the static heuristic: planned schedulers dominate, each of the
-// ~jobs re-plans runs a milestone search with O(log jobs) feasibility flows
-// over networks that grow with jobs·sites, so the bulk scales like
-// jobs²·sites. Bender98 performs a full offline solve per arrival on the
-// points where it runs (sites within Bender98SiteLimit), worth roughly
-// another factor of jobs — which is exactly why those points straggle when
-// dispatched last.
-func (o Options) pointWeight(p GridPoint) float64 {
-	if s, ok := o.MeasuredSeconds[p]; ok && s > 0 {
-		return s
-	}
+// gridWeight is the static cost heuristic: planned schedulers dominate,
+// each of the ~jobs re-plans runs a milestone search with O(log jobs)
+// feasibility flows over networks that grow with jobs·sites, so the bulk
+// scales like jobs²·sites. Bender98 performs a full offline solve per
+// arrival on the points where it runs, worth roughly another factor of
+// jobs — which is exactly why those points straggle when dispatched last.
+func gridWeight(o Options, p GridPoint) float64 {
 	jobs := float64(o.TargetJobs)
 	if o.Horizon > 0 {
-		if ej, err := o.config(p, 0, 0).ExpectedJobs(); err == nil && ej > 0 {
+		if ej, err := gridConfig(o, p, 0, 0).ExpectedJobs(); err == nil && ej > 0 {
 			jobs = ej
 		}
 	}
 	w := jobs * jobs * float64(p.Sites)
-	if p.Sites <= o.Bender98SiteLimit {
-		for _, s := range o.Schedulers {
-			if s == "Bender98" {
-				w *= jobs
-				break
-			}
-		}
+	if p.Sites <= bender98SiteLimit && slices.Contains(o.Schedulers, "Bender98") {
+		w *= jobs
 	}
 	return w
 }
 
-// shardOrder returns the dispatch order of the shard indices: largest
-// estimated cost first, so the heavy grid points (20-site high-density
-// platforms, Bender98 cells) start while every worker still has queue ahead
-// of it, instead of straggling alone at the end of the run. Dispatch order
-// cannot affect results: instance seeds derive from (point, run) coordinates
-// alone and RunGridCSV reorders shards by index when merging.
-func shardOrder(points []GridPoint, opts Options, total, nShards int) []int {
-	pw := make([]float64, len(points))
-	for pi := range points {
-		pw[pi] = opts.pointWeight(points[pi])
-	}
-	return orderByWeight(shardWeights(total, func(ti int) float64 {
-		return pw[ti/opts.Runs]
-	}))
-}
-
-// globalPointIndex maps a position in the points slice to the grid index
-// that seeds its instances (identity unless Options.PointIndices remaps).
-func (o Options) globalPointIndex(pi int) int {
-	if o.PointIndices != nil {
-		return o.PointIndices[pi]
-	}
-	return pi
-}
-
-// ShardGrid cuts points into the k-th of n interleaved shards —
-// points[k], points[k+n], points[k+2n], … — returning the shard and the
-// global indices to pass as Options.PointIndices, so every shard derives
-// the same instance seeds it would in an unsharded run. Interleaving
-// (rather than contiguous ranges) spreads the expensive high-site,
-// high-density tail of the default grid across all shards, keeping a CI
-// matrix balanced. It panics unless 0 ≤ k < n.
-func ShardGrid(points []GridPoint, k, n int) ([]GridPoint, []int) {
-	return ShardPoints(points, k, n)
-}
-
-// RunGrid evaluates the configured schedulers over points × runs on the
-// sharded worker pool and returns one InstanceResult per instance, indexed
-// by pointIdx·Runs + run regardless of worker count.
-func RunGrid(points []GridPoint, opts Options) []InstanceResult {
-	return runGridSharded(points, opts.withDefaults(), nil)
-}
-
-// runGridSharded is the worker-pool core shared by RunGrid and RunGridCSV;
-// callers pass opts with defaults already applied (withDefaults).
-// Tasks ti ∈ [0, points·runs) map to (point ti/runs, run ti%runs) and are
-// grouped into contiguous shards of shardSize tasks. Workers pull shard
-// indices from a channel; each worker holds one core.Runner so simulation
-// buffers are reused across its whole share of the grid. onShard, when
-// non-nil, is invoked by the finishing worker with each completed shard's
-// index and result range; shards finish in arbitrary order and calls may
-// be concurrent, so consumers that need task order must reorder by index
-// (as RunGridCSV does).
-func runGridSharded(points []GridPoint, opts Options,
-	onShard func(si int, shard []InstanceResult)) []InstanceResult {
-	total := len(points) * opts.Runs
-	results := make([]InstanceResult, total)
-	order := shardOrder(points, opts, total, numShards(total))
-	var shardDone func(si, lo, hi int)
-	if onShard != nil {
-		shardDone = func(si, lo, hi int) { onShard(si, results[lo:hi]) }
-	}
-	runSharded(total, opts.Workers, core.NewRunner, order,
-		func(runner *core.Runner, ti int) {
-			pi, run := ti/opts.Runs, ti%opts.Runs
-			results[ti] = runOne(runner, points[pi], run, opts.globalPointIndex(pi), opts)
-		}, shardDone, opts.Progress)
-	return results
-}
-
-func runOne(runner *core.Runner, p GridPoint, run, pointIdx int, opts Options) InstanceResult {
-	res := InstanceResult{
-		Point:      p,
-		Run:        run,
-		MaxStretch: map[string]float64{},
-		SumStretch: map[string]float64{},
-	}
-	inst, err := opts.config(p, run, pointIdx).Generate()
-	if err != nil {
-		res.Errs = append(res.Errs, err)
-		return res
-	}
-	res.Jobs = inst.NumJobs()
-	if inst.NumJobs() == 0 {
-		return res
-	}
-	if opts.DryRun {
-		// Record every scheduler as NaN so the result (and CSV row)
-		// structure matches a real run exactly, without simulating.
-		for _, name := range opts.Schedulers {
-			res.MaxStretch[name] = math.NaN()
-			res.SumStretch[name] = math.NaN()
+// gridWorker returns one worker's grid runner around its own core.Runner.
+func gridWorker() instanceRunner[GridPoint] {
+	runner := core.NewRunner()
+	return func(o Options, res *InstanceResult, inst *model.Instance, _ int) {
+		ran := make([]string, 0, len(o.Schedulers))
+		for _, name := range o.Schedulers {
+			if name == "Bender98" && res.Point.Sites > bender98SiteLimit {
+				res.skip(name)
+				continue
+			}
+			s, err := core.Get(name)
+			if err != nil {
+				res.Errs = append(res.Errs, err)
+				continue
+			}
+			sched, err := safely(func() (*model.Schedule, error) { return runner.Run(s, inst) })
+			if err != nil {
+				res.Errs = append(res.Errs, fmt.Errorf("%s on %v run %d: %w", name, res.Point, res.Run, err))
+				res.skip(name)
+				continue
+			}
+			res.record(name, sched.MaxStretch(inst), sched.SumStretch(inst), 0, 0)
+			ran = append(ran, name)
 		}
-		return res
-	}
-	var t0 int64
-	if opts.Clock != nil {
-		t0 = opts.Clock()
-	}
-	ran := make([]string, 0, len(opts.Schedulers))
-	for _, name := range opts.Schedulers {
-		if name == "Bender98" && p.Sites > opts.Bender98SiteLimit {
-			res.MaxStretch[name] = math.NaN()
-			res.SumStretch[name] = math.NaN()
-			continue
-		}
-		s, err := core.Get(name)
-		if err != nil {
-			res.Errs = append(res.Errs, err)
-			continue
-		}
-		sched, err := runScheduler(runner, s, inst)
-		if err != nil {
-			res.Errs = append(res.Errs, fmt.Errorf("%s on %v run %d: %w", name, p, run, err))
-			res.MaxStretch[name] = math.NaN()
-			res.SumStretch[name] = math.NaN()
-			continue
-		}
-		res.MaxStretch[name] = sched.MaxStretch(inst)
-		res.SumStretch[name] = sched.SumStretch(inst)
-		ran = append(ran, name)
-	}
-	// One unified snapshot for the whole instance. Solve counters are
-	// per-most-recent-run, so only the schedulers that actually ran on this
-	// instance are folded in — a cached counter left over from a previous
-	// instance (e.g. a skipped Bender98) must not double-count.
-	solve := runner.Stats().Solve
-	for _, name := range ran {
-		if ss, ok := solve[name]; ok {
-			res.StretchErrs += ss.StretchErrs
-			res.RefineErrs += ss.RefineErrs
+		// One unified snapshot for the whole instance. Solve counters are
+		// per-most-recent-run, so only the schedulers that actually ran on
+		// this instance are folded in — a cached counter left over from a
+		// previous instance (e.g. a skipped Bender98) must not
+		// double-count.
+		solve := runner.Stats().Solve
+		for _, name := range ran {
+			if ss, ok := solve[name]; ok {
+				res.StretchErrs += ss.StretchErrs
+				res.RefineErrs += ss.RefineErrs
+			}
 		}
 	}
-	if opts.Clock != nil {
-		res.Seconds = float64(opts.Clock()-t0) / 1e9
-	}
-	return res
-}
-
-func runScheduler(r *core.Runner, s core.Scheduler, inst *model.Instance) (sched *model.Schedule, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("panic: %v", rec)
-		}
-	}()
-	return r.Run(s, inst)
 }

@@ -48,11 +48,11 @@ func TestGridWorkerInvariance(t *testing.T) {
 	}
 
 	var csv1, csvN bytes.Buffer
-	res1, err := RunGridCSV(&csv1, points, gridTestOptions(1))
+	res1, err := Grid.RunCSV(&csv1, points, gridTestOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resN, err := RunGridCSV(&csvN, points, gridTestOptions(n))
+	resN, err := Grid.RunCSV(&csvN, points, gridTestOptions(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestShardOrderLargestFirst(t *testing.T) {
 		{Sites: 3, Databanks: 3, Availability: 0.6, Density: 1.0}, // Bender98 runs here
 		{Sites: 10, Databanks: 10, Availability: 0.3, Density: 0.75},
 	}
-	opts := gridTestOptions(1).withDefaults()
+	opts := Grid.withDefaults(gridTestOptions(1))
 	total := len(points) * opts.Runs
 	nShards := (total + shardSize - 1) / shardSize
 
-	order := shardOrder(points, opts, total, nShards)
+	order := Grid.shardOrder(points, opts)
 	if len(order) != nShards {
 		t.Fatalf("order has %d shards, want %d", len(order), nShards)
 	}
@@ -121,7 +121,7 @@ func TestShardOrderLargestFirst(t *testing.T) {
 	weightOf := func(si int) float64 {
 		w := 0.0
 		for ti := si * shardSize; ti < (si+1)*shardSize && ti < total; ti++ {
-			w += opts.pointWeight(points[ti/opts.Runs])
+			w += Grid.pointWeight(opts, points[ti/opts.Runs])
 		}
 		return w
 	}
@@ -132,13 +132,13 @@ func TestShardOrderLargestFirst(t *testing.T) {
 		}
 	}
 	// The Bender98 point must dominate the weight ranking.
-	if w3, w20 := opts.pointWeight(points[1]), opts.pointWeight(points[0]); w3 <= w20 {
+	if w3, w20 := Grid.pointWeight(opts, points[1]), Grid.pointWeight(opts, points[0]); w3 <= w20 {
 		t.Fatalf("3-site Bender98 point weight %g not above 20-site weight %g", w3, w20)
 	}
 	// Without Bender98 in the mix, the 20-site point is the heavy one.
 	noB := opts
 	noB.Schedulers = []string{"Offline", "Online"}
-	if w3, w20 := noB.pointWeight(points[1]), noB.pointWeight(points[0]); w3 >= w20 {
+	if w3, w20 := Grid.pointWeight(noB, points[1]), Grid.pointWeight(noB, points[0]); w3 >= w20 {
 		t.Fatalf("without Bender98, 3-site weight %g not below 20-site weight %g", w3, w20)
 	}
 }
@@ -149,12 +149,12 @@ func TestRunGridCSVMatchesWriteResultsCSV(t *testing.T) {
 	points := gridTestPoints()[:2]
 	opts := gridTestOptions(3)
 	var streamed bytes.Buffer
-	results, err := RunGridCSV(&streamed, points, opts)
+	results, err := Grid.RunCSV(&streamed, points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var single bytes.Buffer
-	if err := WriteResultsCSV(&single, results, opts.Schedulers); err != nil {
+	if err := Grid.WriteCSV(&single, results, opts.Schedulers); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(streamed.Bytes(), single.Bytes()) {
@@ -182,7 +182,7 @@ func TestGridProgressReporting(t *testing.T) {
 			t.Errorf("total = %d, want %d", total, len(points)*opts.Runs)
 		}
 	}
-	RunGrid(points, opts)
+	Grid.Run(points, opts)
 	want := len(points) * opts.Runs
 	if calls != want || last != want {
 		t.Fatalf("progress: %d calls, max done %d, want %d", calls, last, want)
@@ -194,7 +194,7 @@ func TestGridProgressReporting(t *testing.T) {
 // entry (the registry threading used by every worker).
 func TestRunnerReuseMatchesScheduler(t *testing.T) {
 	opts := gridTestOptions(1)
-	inst, err := opts.config(gridTestPoints()[0], 0, 0).Generate()
+	inst, err := Grid.config(opts, gridTestPoints()[0], 0, 0).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}

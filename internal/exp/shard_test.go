@@ -13,7 +13,7 @@ func TestShardGridPartition(t *testing.T) {
 	for _, n := range []int{1, 2, 6, 7} {
 		seen := make([]int, len(points))
 		for k := 0; k < n; k++ {
-			shard, indices := ShardGrid(points, k, n)
+			shard, indices := ShardPoints(points, k, n)
 			if len(shard) != len(indices) {
 				t.Fatalf("n=%d k=%d: %d points but %d indices", n, k, len(shard), len(indices))
 			}
@@ -38,10 +38,10 @@ func TestShardGridRejectsBadShard(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("ShardGrid(%d, %d) should panic", bad[0], bad[1])
+					t.Errorf("ShardPoints(%d, %d) should panic", bad[0], bad[1])
 				}
 			}()
-			ShardGrid(DefaultGrid(), bad[0], bad[1])
+			ShardPoints(DefaultGrid(), bad[0], bad[1])
 		}()
 	}
 }
@@ -54,14 +54,14 @@ func TestShardGridRejectsBadShard(t *testing.T) {
 func TestShardedMatchesUnsharded(t *testing.T) {
 	points := gridTestPoints()
 	opts := gridTestOptions(2)
-	full := RunGrid(points, opts)
+	full := Grid.Run(points, opts)
 
 	const n = 2
 	for k := 0; k < n; k++ {
-		shard, indices := ShardGrid(points, k, n)
+		shard, indices := ShardPoints(points, k, n)
 		sopts := opts
 		sopts.PointIndices = indices
-		part := RunGrid(shard, sopts)
+		part := Grid.Run(shard, sopts)
 		if len(part) != len(shard)*opts.Runs {
 			t.Fatalf("shard %d: %d results, want %d", k, len(part), len(shard)*opts.Runs)
 		}
@@ -98,12 +98,12 @@ func TestDryRunPredictsRowCount(t *testing.T) {
 	opts := gridTestOptions(2)
 
 	var real, dry bytes.Buffer
-	if _, err := RunGridCSV(&real, points, opts); err != nil {
+	if _, err := Grid.RunCSV(&real, points, opts); err != nil {
 		t.Fatal(err)
 	}
 	dopts := opts
 	dopts.DryRun = true
-	if _, err := RunGridCSV(&dry, points, dopts); err != nil {
+	if _, err := Grid.RunCSV(&dry, points, dopts); err != nil {
 		t.Fatal(err)
 	}
 	realRows := strings.Count(real.String(), "\n")
@@ -133,25 +133,25 @@ func TestDryRunPredictsRowCount(t *testing.T) {
 }
 
 // TestShardedCSVConcatenation mirrors the nightly merge job in miniature:
-// per-shard RunGridCSV outputs concatenated (header kept once) contain
+// per-shard Grid.RunCSV outputs concatenated (header kept once) contain
 // exactly the rows of the unsharded CSV, reordered by shard.
 func TestShardedCSVConcatenation(t *testing.T) {
 	points := gridTestPoints()
 	opts := gridTestOptions(2)
 
 	var full bytes.Buffer
-	if _, err := RunGridCSV(&full, points, opts); err != nil {
+	if _, err := Grid.RunCSV(&full, points, opts); err != nil {
 		t.Fatal(err)
 	}
 
 	const n = 2
 	var merged bytes.Buffer
 	for k := 0; k < n; k++ {
-		shard, indices := ShardGrid(points, k, n)
+		shard, indices := ShardPoints(points, k, n)
 		sopts := opts
 		sopts.PointIndices = indices
 		var buf bytes.Buffer
-		if _, err := RunGridCSV(&buf, shard, sopts); err != nil {
+		if _, err := Grid.RunCSV(&buf, shard, sopts); err != nil {
 			t.Fatal(err)
 		}
 		lines := strings.SplitAfter(buf.String(), "\n")
@@ -189,19 +189,19 @@ func TestShardedCSVConcatenation(t *testing.T) {
 	}
 }
 
-// TestReadResultsCSVRoundTrip: WriteResultsCSV → ReadResultsCSV is the
+// TestReadResultsCSVRoundTrip: Grid.WriteCSV → Grid.ReadCSV is the
 // identity on the metric content, so -fromcsv table aggregation matches
 // live-grid aggregation exactly.
 func TestReadResultsCSVRoundTrip(t *testing.T) {
 	points := gridTestPoints()
 	opts := gridTestOptions(2)
-	results := RunGrid(points, opts)
+	results := Grid.Run(points, opts)
 
 	var buf bytes.Buffer
-	if err := WriteResultsCSV(&buf, results, opts.Schedulers); err != nil {
+	if err := Grid.WriteCSV(&buf, results, opts.Schedulers); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadResultsCSV(&buf)
+	back, err := Grid.ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,9 @@ type Row struct {
 }
 
 // Aggregate normalises each instance's metrics by the best value observed
-// on that instance and aggregates the ratios over the instances whose grid
+// on that instance and aggregates the ratios over the instances whose
 // point passes the filter (nil filter = all), in the given scheduler order.
-func Aggregate(results []InstanceResult, filter func(GridPoint) bool, schedulers []string) []Row {
+func Aggregate[P comparable](results []Result[P], filter func(P) bool, schedulers []string) []Row {
 	maxAgg := map[string]*stats.Agg{}
 	sumAgg := map[string]*stats.Agg{}
 	for _, name := range schedulers {

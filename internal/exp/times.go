@@ -2,73 +2,47 @@ package exp
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
-	"sort"
-	"strconv"
+	"slices"
 )
 
-// The times sidecar closes the dispatch-order feedback loop: a pass run
-// with Options.Clock measures per-instance scheduler wall time, PointTimes
-// folds it per grid point, WritePointTimes dumps it next to the results
-// CSV, and a later pass loads it back (ReadPointTimes) into
-// Options.MeasuredSeconds, where pointWeight prefers observed cost over the
-// static jobs²·sites heuristic. Timing lives in this separate stream — not
+// The timing sidecar closes the dispatch-order feedback loop: a pass run
+// with Options.Clock measures per-instance scheduler wall time,
+// WritePointTimes sums it per point into a CSV next to the results CSV,
+// and a later pass loads it back (ReadPointTimes) into
+// Options.MeasuredSeconds, where dispatch prefers observed cost over the
+// family's static estimate. Timing lives in this separate stream — not
 // the results CSV — because the results bytes are pinned by worker-count
 // invariance and per-point digests, and wall time is exactly the kind of
 // nondeterminism they must never contain.
 
-// timesHeader is the column layout of the per-point timing sidecar.
-var timesHeader = []string{"sites", "databanks", "availability", "density", "seconds"}
-
-// PointTimes sums the measured per-instance seconds of a pass per grid
-// point. Points whose instances carried no measurement (no Clock, -fromcsv
-// results) sum to zero and are omitted.
-func PointTimes(results []InstanceResult) map[GridPoint]float64 {
-	out := map[GridPoint]float64{}
-	for i := range results {
-		if results[i].Seconds > 0 {
-			out[results[i].Point] += results[i].Seconds
-		}
-	}
-	return out
+// timesHeader is the column layout of the family's timing sidecar.
+func (f *Family[P]) timesHeader() []string {
+	return append(slices.Clip(f.pointCols), "seconds")
 }
 
-// WritePointTimes writes the PointTimes of results as the timing sidecar
-// CSV, rows sorted by point coordinates so output is deterministic given
-// the same measurements.
-func WritePointTimes(w io.Writer, results []InstanceResult) error {
-	times := PointTimes(results)
-	points := make([]GridPoint, 0, len(times))
-	for p := range times { //stretch:order-ok — collect-then-sort, below
-		points = append(points, p)
+// WritePointTimes writes the measured seconds of results summed per point,
+// one row per point in order of first appearance. Points whose instances
+// carried no measurement (no Clock, -fromcsv results) are omitted.
+func (f *Family[P]) WritePointTimes(w io.Writer, results []Result[P]) error {
+	sum := map[P]float64{}
+	var points []P
+	for i := range results {
+		r := &results[i]
+		if r.Seconds <= 0 {
+			continue
+		}
+		if _, ok := sum[r.Point]; !ok {
+			points = append(points, r.Point)
+		}
+		sum[r.Point] += r.Seconds
 	}
-	sort.Slice(points, func(a, b int) bool {
-		pa, pb := points[a], points[b]
-		if pa.Sites != pb.Sites {
-			return pa.Sites < pb.Sites
-		}
-		if pa.Databanks != pb.Databanks {
-			return pa.Databanks < pb.Databanks
-		}
-		if pa.Availability != pb.Availability {
-			return pa.Availability < pb.Availability
-		}
-		return pa.Density < pb.Density
-	})
 	cw := csv.NewWriter(w)
-	if err := cw.Write(timesHeader); err != nil {
+	if err := cw.Write(f.timesHeader()); err != nil {
 		return err
 	}
 	for _, p := range points {
-		row := []string{
-			strconv.Itoa(p.Sites),
-			strconv.Itoa(p.Databanks),
-			formatFloat(p.Availability),
-			formatFloat(p.Density),
-			formatFloat(times[p]),
-		}
-		if err := cw.Write(row); err != nil {
+		if err := cw.Write(append(f.format(p), formatFloat(sum[p]))); err != nil {
 			return err
 		}
 	}
@@ -79,53 +53,19 @@ func WritePointTimes(w io.Writer, results []InstanceResult) error {
 // ReadPointTimes parses a timing sidecar back into the MeasuredSeconds map
 // a subsequent pass dispatches by. Duplicate points sum, so concatenated
 // per-shard sidecars merge like the results CSVs do.
-func ReadPointTimes(r io.Reader) (map[GridPoint]float64, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+func (f *Family[P]) ReadPointTimes(r io.Reader) (map[string]float64, error) {
+	out := map[string]float64{}
+	n := len(f.pointCols)
+	err := readCSV(r, f.name+" times CSV", f.timesHeader(), func(c *fields) error {
+		p, secs := f.parse(c), c.num(n)
+		if c.err != nil {
+			return c.err
+		}
+		out[f.key(p)] += secs
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("exp: times CSV header: %w", err)
+		return nil, err
 	}
-	if len(header) != len(timesHeader) {
-		return nil, fmt.Errorf("exp: times CSV header has %d columns, want %d",
-			len(header), len(timesHeader))
-	}
-	for i, name := range timesHeader {
-		if header[i] != name {
-			return nil, fmt.Errorf("exp: times CSV column %d is %q, want %q", i, header[i], name)
-		}
-	}
-	out := map[GridPoint]float64{}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("exp: times CSV line %d: %w", line, err)
-		}
-		bad := func(col string, err error) error {
-			return fmt.Errorf("exp: times CSV line %d: bad %s: %w", line, col, err)
-		}
-		sites, err := strconv.Atoi(row[0])
-		if err != nil {
-			return nil, bad("sites", err)
-		}
-		dbs, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, bad("databanks", err)
-		}
-		avail, err := parseFloat(row[2])
-		if err != nil {
-			return nil, bad("availability", err)
-		}
-		density, err := parseFloat(row[3])
-		if err != nil {
-			return nil, bad("density", err)
-		}
-		secs, err := parseFloat(row[4])
-		if err != nil {
-			return nil, bad("seconds", err)
-		}
-		out[GridPoint{sites, dbs, avail, density}] += secs
-	}
+	return out, nil
 }

@@ -18,14 +18,14 @@ func TestPointTimesRoundTrip(t *testing.T) {
 		{Point: pb, Run: 1}, // unmeasured instance contributes nothing
 	}
 	var buf bytes.Buffer
-	if err := WritePointTimes(&buf, results); err != nil {
+	if err := Grid.WritePointTimes(&buf, results); err != nil {
 		t.Fatal(err)
 	}
-	times, err := ReadPointTimes(bytes.NewReader(buf.Bytes()))
+	times, err := Grid.ReadPointTimes(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(times) != 2 || times[pa] != 2.0 || times[pb] != 3.25 {
+	if len(times) != 2 || times[Grid.key(pa)] != 2.0 || times[Grid.key(pb)] != 3.25 {
 		t.Fatalf("times = %v, want {%v: 2, %v: 3.25}", times, pa, pb)
 	}
 
@@ -34,11 +34,11 @@ func TestPointTimesRoundTrip(t *testing.T) {
 	second := buf.String()
 	second = second[strings.Index(second, "\n")+1:]
 	merged := buf.String() + second
-	times, err = ReadPointTimes(strings.NewReader(merged))
+	times, err = Grid.ReadPointTimes(strings.NewReader(merged))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if times[pa] != 4.0 || times[pb] != 6.5 {
+	if times[Grid.key(pa)] != 4.0 || times[Grid.key(pb)] != 6.5 {
 		t.Fatalf("merged times = %v, want doubled sums", times)
 	}
 }
@@ -49,26 +49,23 @@ func TestPointTimesRoundTrip(t *testing.T) {
 func TestMeasuredSecondsDrivesDispatch(t *testing.T) {
 	cheap := GridPoint{3, 3, 0.6, 1.0}   // statically light (small sites)
 	heavy := GridPoint{20, 20, 0.9, 3.0} // statically heavy
-	opts := Options{Schedulers: []string{"SWRPT"}, Runs: 1, TargetJobs: 8}.withDefaults()
+	opts := Grid.withDefaults(Options{Schedulers: []string{"SWRPT"}, Runs: 1, TargetJobs: 8})
 
-	if opts.pointWeight(cheap) >= opts.pointWeight(heavy) {
+	if Grid.pointWeight(opts, cheap) >= Grid.pointWeight(opts, heavy) {
 		t.Fatalf("static weights: cheap %g >= heavy %g",
-			opts.pointWeight(cheap), opts.pointWeight(heavy))
+			Grid.pointWeight(opts, cheap), Grid.pointWeight(opts, heavy))
 	}
-	opts.MeasuredSeconds = map[GridPoint]float64{cheap: 100, heavy: 1}
-	if opts.pointWeight(cheap) != 100 || opts.pointWeight(heavy) != 1 {
+	opts.MeasuredSeconds = map[string]float64{Grid.key(cheap): 100, Grid.key(heavy): 1}
+	if Grid.pointWeight(opts, cheap) != 100 || Grid.pointWeight(opts, heavy) != 1 {
 		t.Fatalf("measured weights not used: cheap %g, heavy %g",
-			opts.pointWeight(cheap), opts.pointWeight(heavy))
+			Grid.pointWeight(opts, cheap), Grid.pointWeight(opts, heavy))
 	}
 
+	// One run per point would put both points in a single shard; a full
+	// shard of runs per point splits them.
 	points := []GridPoint{heavy, cheap}
-	total := len(points) * opts.Runs
-	order := shardOrder(points, opts, total, numShards(total))
-	// One task per point, shardSize covers both → a single shard; use more
-	// runs to split shards across points instead.
 	opts.Runs = shardSize
-	total = len(points) * opts.Runs
-	order = shardOrder(points, opts, total, numShards(total))
+	order := Grid.shardOrder(points, opts)
 	if len(order) != 2 || order[0] != 1 {
 		t.Fatalf("dispatch order %v: measured-slow point's shard must go first", order)
 	}
@@ -83,14 +80,14 @@ func TestGridMeasuresSeconds(t *testing.T) {
 	opts.Schedulers = []string{"SWRPT", "SRPT"}
 	var tick int64
 	opts.Clock = func() int64 { tick += 1e6; return tick } // 1ms per read
-	results := RunGrid(points, opts)
+	results := Grid.Run(points, opts)
 	for i, r := range results {
 		if r.Jobs > 0 && r.Seconds <= 0 {
 			t.Fatalf("instance %d: Seconds = %v with Clock set", i, r.Seconds)
 		}
 	}
 	var buf bytes.Buffer
-	if err := WritePointTimes(&buf, results); err != nil {
+	if err := Grid.WritePointTimes(&buf, results); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 1+len(points) {
@@ -98,7 +95,7 @@ func TestGridMeasuresSeconds(t *testing.T) {
 	}
 
 	opts.Clock = nil
-	for i, r := range RunGrid(points, opts) {
+	for i, r := range Grid.Run(points, opts) {
 		if r.Seconds != 0 {
 			t.Fatalf("instance %d: Seconds = %v without Clock", i, r.Seconds)
 		}

@@ -130,7 +130,7 @@ func VerifyExact(opts VerifyExactOptions) VerifyExactReport {
 	opts = opts.withDefaults()
 	points, indices := verifyExactSample(opts)
 	schedulers := append([]string{"Offline-Exact"}, verifyExactCompetitors...)
-	results := RunGrid(points, Options{
+	results := Grid.Run(points, Options{
 		Runs: opts.Runs, Seed: opts.Seed, TargetJobs: opts.TargetJobs,
 		Workers: opts.Workers, Schedulers: schedulers,
 		PointIndices: indices, Progress: opts.Progress,

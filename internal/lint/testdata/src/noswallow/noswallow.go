@@ -1,13 +1,16 @@
 // Package noswallowdata seeds every way a watched error result can be
 // discarded — bare call statement, go, defer, blank-assigned — against the
-// real generic lp.Problem and lp.Incremental API and the cluster runner,
-// plus the legal forms
+// real generic lp.Problem and lp.Incremental API, the cluster runner and
+// the generic experiment family, plus the legal forms
 // (error handled, hatch).
 package noswallowdata
 
 import (
+	"io"
+
 	"stretchsched/internal/cluster"
 	"stretchsched/internal/core"
+	"stretchsched/internal/exp"
 	"stretchsched/internal/lp"
 	"stretchsched/internal/model"
 )
@@ -43,6 +46,10 @@ func incrementalCold(inc *lp.Incremental[float64], p *lp.Problem[float64]) {
 
 func clusterRun(cr *core.ClusterRunner, ci *model.ClusterInstance, lb cluster.LB) {
 	cr.Run("SWRPT", ci, lb, 1, nil) // want "error result of core.Run is discarded (bare call statement)"
+}
+
+func familyDigests(w io.Writer, results []exp.InstanceResult) {
+	exp.Grid.WriteDigests(w, results, nil) // want "error result of exp.WriteDigests is discarded (bare call statement)"
 }
 
 func handled(p *lp.Problem[float64]) error {
