@@ -85,9 +85,9 @@ func BenchmarkFigure3a(b *testing.B) {
 		Runs: 1, TargetJobs: 10, Seed: 7,
 	}
 	for i := 0; i < b.N; i++ {
-		points := exp.RunFigure3(opts)
-		if len(points) != 2 {
-			b.Fatal("bad sweep")
+		points, errs := exp.RunFigure3(opts)
+		if len(points) != 2 || len(errs) != 0 {
+			b.Fatal("bad sweep", errs)
 		}
 	}
 }
@@ -100,9 +100,9 @@ func BenchmarkFigure3b(b *testing.B) {
 		Runs: 1, TargetJobs: 10, Seed: 11,
 	}
 	for i := 0; i < b.N; i++ {
-		points := exp.RunFigure3(opts)
-		if len(points) != 2 {
-			b.Fatal("bad sweep")
+		points, errs := exp.RunFigure3(opts)
+		if len(points) != 2 || len(errs) != 0 {
+			b.Fatal("bad sweep", errs)
 		}
 	}
 }

@@ -337,8 +337,11 @@ func runFigure(which string, runs int, seed int64, workers int, csvOut string) {
 		os.Exit(2)
 	}
 	start := time.Now()
-	points := exp.RunFigure3(exp.Fig3Options{Runs: runs, Seed: seed, Workers: workers})
-	fmt.Printf("# figure 3 sweep in %v\n\n", time.Since(start).Round(time.Second))
+	points, errs := exp.RunFigure3(exp.Fig3Options{Runs: runs, Seed: seed, Workers: workers})
+	for _, err := range errs {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+	}
+	fmt.Printf("# figure 3 sweep in %v (%d failed samples)\n\n", time.Since(start).Round(time.Second), len(errs))
 	if csvOut != "" {
 		writeCSV(csvOut, func(w io.Writer) error {
 			return exp.WriteFigure3CSV(w, points)

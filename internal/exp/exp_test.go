@@ -118,15 +118,15 @@ func TestBender98SiteLimitSkips(t *testing.T) {
 }
 
 func TestFigure3SmallSweep(t *testing.T) {
-	points := RunFigure3(Fig3Options{
+	points, errs := RunFigure3(Fig3Options{
 		Densities:  []float64{0.25, 2.0},
 		JobLengths: []float64{10},
 		Runs:       2,
 		TargetJobs: 10,
 		Seed:       5,
 	})
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	if len(points) != 2 || len(errs) != 0 {
+		t.Fatalf("points = %d, errors %v", len(points), errs)
 	}
 	for _, p := range points {
 		if p.N == 0 {
@@ -139,5 +139,28 @@ func TestFigure3SmallSweep(t *testing.T) {
 	out := RenderFigure3(points)
 	if !strings.Contains(out, "density") {
 		t.Fatalf("render malformed:\n%s", out)
+	}
+}
+
+// TestFigure3AccountsEverySample: every sample of a density is counted
+// exactly once — in the means (N), as failed, or as empty — and each
+// failed sample comes with its error. The two lowest densities of the
+// default sweep are where the online executor leaves jobs unfinished.
+func TestFigure3AccountsEverySample(t *testing.T) {
+	opts := Fig3Options{Densities: []float64{0.0125, 0.025}, Runs: 1, Seed: 1}
+	points, errs := RunFigure3(opts)
+	failed := 0
+	for _, p := range points {
+		if got, want := p.N+p.Failed+p.Empty, opts.Runs*len(Fig3Options{}.withDefaults().JobLengths); got != want {
+			t.Errorf("density %g: N %d + failed %d + empty %d = %d, want %d",
+				p.Density, p.N, p.Failed, p.Empty, got, want)
+		}
+		failed += p.Failed
+	}
+	if len(errs) != failed {
+		t.Fatalf("%d errors for %d failed samples: %v", len(errs), failed, errs)
+	}
+	for _, err := range errs {
+		t.Log(err)
 	}
 }

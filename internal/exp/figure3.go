@@ -48,17 +48,22 @@ func (o Fig3Options) withDefaults() Fig3Options {
 // Fig3Point is one plotted point: a workload density with the max-stretch
 // degradation of both online variants (Figure 3a) and the sum-stretch gain
 // of the optimised variant over the non-optimised one (Figure 3b),
-// averaged over job lengths and runs. Percentages, as in the paper.
+// averaged over job lengths and runs. Percentages, as in the paper. Of
+// the density's runs × job lengths samples, N entered the means, Failed
+// returned an error and Empty generated no job.
 type Fig3Point struct {
 	Density           float64
 	OptDegradation    float64 // mean 100·(maxStretch/optimal − 1), optimised
 	NonOptDegradation float64 // same for the non-optimised variant
 	SumGain           float64 // mean 100·(sumNonOpt/sumOpt − 1)
 	N                 int
+	Failed, Empty     int
 }
 
-// RunFigure3 regenerates the data series of Figures 3(a) and 3(b).
-func RunFigure3(opts Fig3Options) []Fig3Point {
+// RunFigure3 regenerates the data series of Figures 3(a) and 3(b). It
+// returns one error per failed sample, in sample order; a failed sample
+// stays out of the means.
+func RunFigure3(opts Fig3Options) ([]Fig3Point, []error) {
 	opts = opts.withDefaults()
 	type cell struct{ di, li, run int }
 	var cells []cell
@@ -72,7 +77,8 @@ func RunFigure3(opts Fig3Options) []Fig3Point {
 	type sample struct {
 		di                   int
 		optDeg, nonDeg, gain float64
-		ok                   bool
+		empty                bool
+		err                  error
 	}
 	samples := make([]sample, len(cells))
 	// Every cell weighs the same, so dispatch is in cell order.
@@ -80,7 +86,7 @@ func RunFigure3(opts Fig3Options) []Fig3Point {
 		func(runner *core.Runner, ci int) {
 			c := cells[ci]
 			s := sample{di: c.di}
-			s.optDeg, s.nonDeg, s.gain, s.ok = fig3One(runner, opts, c.di, c.li, c.run)
+			s.optDeg, s.nonDeg, s.gain, s.empty, s.err = fig3One(runner, opts, c.di, c.li, c.run)
 			samples[ci] = s
 		}, nil, nil)
 
@@ -89,8 +95,15 @@ func RunFigure3(opts Fig3Options) []Fig3Point {
 	for di := range aggs {
 		aggs[di] = [3]*stats.Agg{{}, {}, {}}
 	}
+	var errs []error
 	for _, s := range samples {
-		if !s.ok {
+		switch {
+		case s.err != nil:
+			points[s.di].Failed++
+			errs = append(errs, s.err)
+			continue
+		case s.empty:
+			points[s.di].Empty++
 			continue
 		}
 		aggs[s.di][0].Add(s.optDeg)
@@ -98,18 +111,19 @@ func RunFigure3(opts Fig3Options) []Fig3Point {
 		aggs[s.di][2].Add(s.gain)
 	}
 	for di, d := range opts.Densities {
-		points[di] = Fig3Point{
-			Density:           d,
-			OptDegradation:    aggs[di][0].Mean(),
-			NonOptDegradation: aggs[di][1].Mean(),
-			SumGain:           aggs[di][2].Mean(),
-			N:                 aggs[di][0].N(),
-		}
+		p := &points[di]
+		p.Density = d
+		p.OptDegradation = aggs[di][0].Mean()
+		p.NonOptDegradation = aggs[di][1].Mean()
+		p.SumGain = aggs[di][2].Mean()
+		p.N = aggs[di][0].N()
 	}
-	return points
+	return points, errs
 }
 
-func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, nonDeg, gain float64, ok bool) {
+// fig3One runs one (density, job length, run) sample. An instance with no
+// job is empty, not failed.
+func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, nonDeg, gain float64, empty bool, err error) {
 	length := opts.JobLengths[li]
 	cfg := workload.Config{
 		Sites:        3,
@@ -122,24 +136,34 @@ func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, no
 		SizeRange: [2]float64{10 * length, 30 * length},
 		Seed:      opts.Seed + int64(di)*97_001 + int64(li)*13_007 + int64(run)*59,
 	}
+	fail := func(what string, err error) (float64, float64, float64, bool, error) {
+		return 0, 0, 0, false, fmt.Errorf("figure 3 density %g length %g run %d: %s: %w",
+			opts.Densities[di], length, run, what, err)
+	}
 	inst, err := cfg.Generate()
-	if err != nil || inst.NumJobs() == 0 {
-		return 0, 0, 0, false
+	if err != nil {
+		return fail("workload", err)
+	}
+	if inst.NumJobs() == 0 {
+		return 0, 0, 0, true, nil
 	}
 	optimal, err := offline.Optimal(inst)
-	if err != nil || optimal <= 0 {
-		return 0, 0, 0, false
+	if err == nil && optimal <= 0 {
+		err = fmt.Errorf("optimal max-stretch %g", optimal)
+	}
+	if err != nil {
+		return fail("Offline", err)
 	}
 	// The runner reuses one schedule buffer across runs, so each variant's
 	// metrics must be read off before the next run overwrites the trace.
 	optSched, err := safely(func() (*model.Schedule, error) { return runner.Run(core.MustGet("Online"), inst) })
 	if err != nil {
-		return 0, 0, 0, false
+		return fail("Online", err)
 	}
 	optMax, optSum := optSched.MaxStretch(inst), optSched.SumStretch(inst)
 	nonSched, err := safely(func() (*model.Schedule, error) { return runner.Run(core.MustGet("Online-NonOpt"), inst) })
 	if err != nil {
-		return 0, 0, 0, false
+		return fail("Online-NonOpt", err)
 	}
 	optDeg = 100 * (optMax/optimal - 1)
 	nonDeg = 100 * (nonSched.MaxStretch(inst)/optimal - 1)
@@ -149,7 +173,7 @@ func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, no
 	// Float dust can make degradations microscopically negative (the
 	// realised schedule beating the bisected optimum); clamp at zero as the
 	// paper's anomaly discussion suggests.
-	return math.Max(optDeg, -100), math.Max(nonDeg, -100), gain, true
+	return math.Max(optDeg, -100), math.Max(nonDeg, -100), gain, false, nil
 }
 
 // RenderFigure3 formats the series as an aligned text table (one row per
