@@ -19,6 +19,10 @@ import (
 // and runs Earliest Deadline First. The full offline solve per arrival is
 // what makes the algorithm prohibitively expensive (§5.3 restricts it to
 // 3-site platforms; so does this repository's harness).
+//
+// On a stream (sim.Driver, as stretchd serves it) the offline problem
+// covers live jobs only: Driver.Complete clears a finished job's Released
+// flag, whereas a batch run (sim.Engine) keeps every job ever released.
 type Bender98 struct {
 	// Alpha overrides the expansion factor; 0 means √∆ as in the paper.
 	Alpha float64
@@ -52,8 +56,13 @@ func (b *Bender98) Init(inst *model.Instance) {
 	b.released = 0
 }
 
-// OnEvent recomputes deadlines when new jobs have been released.
+// OnEvent recomputes deadlines when new jobs have been released. A stream
+// adds job slots after Init, so the deadline table grows to the slot count
+// first; a batch run sized it in Init.
 func (b *Bender98) OnEvent(ctx *sim.Ctx) {
+	for len(b.deadline) < len(ctx.Released) {
+		b.deadline = append(b.deadline, math.Inf(1))
+	}
 	released := 0
 	for _, r := range ctx.Released {
 		if r {

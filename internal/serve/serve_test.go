@@ -60,6 +60,44 @@ func submitAll(t testing.TB, l *Loop, jobs []model.Job) {
 	}
 }
 
+// TestServeEveryPolicy serves and drains a short stream under every
+// registry policy the loop accepts. A stream grows its job slots after the
+// policy's Init, which batch runs never do.
+func TestServeEveryPolicy(t *testing.T) {
+	jobs := testWorkload(t).Jobs[:8]
+	served := 0
+	for _, name := range core.Names() {
+		sched, err := core.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sched.(core.PolicyBacked); !ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			loop, err := New(Config{Platform: testWorkload(t).Platform, Scheduler: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			submitAll(t, loop, jobs)
+			if err := loop.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := loop.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := snap.Counters; c.CompletedN != uint64(len(jobs)) || c.Panics != 0 {
+				t.Fatalf("%d of %d jobs completed, %d panics", c.CompletedN, len(jobs), c.Panics)
+			}
+		})
+		served++
+	}
+	if served == 0 {
+		t.Fatal("no registry policy is policy-backed")
+	}
+}
+
 // TestCheckpointRestoreDeterminism is the tentpole acceptance test: a
 // daemon checkpointed mid-stream and restored in a fresh process image
 // must produce a byte-identical decision log to the uninterrupted run —
