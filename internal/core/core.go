@@ -31,14 +31,6 @@ type Scheduler interface {
 	Run(inst *model.Instance) (*model.Schedule, error)
 }
 
-// EngineBound is implemented by schedulers that can execute on a
-// caller-provided simulation engine, reusing its buffers across runs. All
-// simulation-backed registry entries implement it; direct constructors
-// (MCT) do not and fall back to Run.
-type EngineBound interface {
-	RunWith(eng *sim.Engine, inst *model.Instance) (*model.Schedule, error)
-}
-
 // PlannerBacked is implemented by constructed schedulers that drive a
 // sim.Planner (re-invoked by the engine at every job arrival). Planner
 // exposes the underlying instance for harnesses that drive it directly.
@@ -131,10 +123,6 @@ func (s *builtPlanner) Run(inst *model.Instance) (*model.Schedule, error) {
 	return sim.RunPlanned(inst, s.pl)
 }
 
-func (s *builtPlanner) RunWith(eng *sim.Engine, inst *model.Instance) (*model.Schedule, error) {
-	return eng.RunPlanned(inst, s.pl)
-}
-
 type builtPolicy struct {
 	name string
 	pol  sim.Policy
@@ -147,10 +135,6 @@ func (s *builtPolicy) Run(inst *model.Instance) (*model.Schedule, error) {
 	return sim.RunList(inst, s.pol)
 }
 
-func (s *builtPolicy) RunWith(eng *sim.Engine, inst *model.Instance) (*model.Schedule, error) {
-	return eng.RunList(inst, s.pol)
-}
-
 type builtDirect struct {
 	name string
 	run  func(*model.Instance) (*model.Schedule, error)
@@ -160,8 +144,8 @@ func (s builtDirect) Name() string { return s.name }
 
 func (s builtDirect) Run(inst *model.Instance) (*model.Schedule, error) { return s.run(inst) }
 
-// regHandle is the stateless value Get returns: Run and RunWith construct
-// a fresh unwired instance per call, preserving the historical Get
+// regHandle is the stateless value Get returns: Run constructs a fresh
+// unwired instance per call, preserving the historical Get
 // semantics (no shared state between calls). Runner.Run recognises it and
 // substitutes its own cached wired instance.
 type regHandle struct {
@@ -172,14 +156,6 @@ func (h regHandle) Name() string { return h.e.name }
 
 func (h regHandle) Run(inst *model.Instance) (*model.Schedule, error) {
 	return h.e.build(buildCfg{}).Run(inst)
-}
-
-func (h regHandle) RunWith(eng *sim.Engine, inst *model.Instance) (*model.Schedule, error) {
-	s := h.e.build(buildCfg{})
-	if eb, ok := s.(EngineBound); ok {
-		return eb.RunWith(eng, inst)
-	}
-	return s.Run(inst)
 }
 
 // Runner executes schedulers on one reusable simulation engine and one
@@ -240,9 +216,6 @@ func (r *Runner) Run(s Scheduler, inst *model.Instance) (*model.Schedule, error)
 		default:
 			return b.Run(inst)
 		}
-	}
-	if eb, ok := s.(EngineBound); ok {
-		return eb.RunWith(r.eng, inst)
 	}
 	return s.Run(inst)
 }
