@@ -99,7 +99,9 @@ const (
 
 // Cluster is the cluster family: one generated job stream per (point, run)
 // over M identical nodes, every local policy of DefaultClusterSchedulers
-// by default. Its rows carry each policy's retries and lost work.
+// by default. At a point with failures each policy must account as
+// itself: a list policy. Its rows carry each policy's retries and lost
+// work.
 var Cluster = Family[ClusterPoint]{
 	name:       "cluster",
 	pointCols:  []string{"machines", "balancer", "density", "rate"},

@@ -92,55 +92,34 @@ type csvStream struct {
 	mu      sync.Mutex
 	pending map[int][]byte // encoded shards not yet flushable
 	next    int            // lowest shard index not yet written
-	werr    error
+	err     error          // the first encode or write error
 }
 
-// failed reports whether the stream has already recorded an error, so
-// workers skip encoding work that could never be written.
-func (s *csvStream) failed() bool {
+// add hands shard si's encoded bytes, or its encode error, to the
+// in-order flush. The first error sticks and nothing is written after it:
+// a shard that fails to encode surfaces as the run's error, never as a
+// silently truncated CSV.
+func (s *csvStream) add(si int, b []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.werr != nil
-}
-
-// fail poisons the stream with an encode error: a shard that fails to
-// encode must surface as the run's error, never as a silently truncated
-// CSV.
-func (s *csvStream) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.werr == nil {
-		s.werr = err
+	if s.err == nil {
+		s.err = err
 	}
-}
-
-// add hands shard si's encoded bytes to the in-order flush.
-func (s *csvStream) add(si int, b []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.pending[si] = b
 	for b, ok := s.pending[s.next]; ok; b, ok = s.pending[s.next] {
 		delete(s.pending, s.next)
-		if s.werr == nil {
-			_, s.werr = s.w.Write(b)
+		if s.err == nil {
+			_, s.err = s.w.Write(b)
 		}
 		s.next++
 	}
-}
-
-// err returns the first encode or write error.
-func (s *csvStream) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.werr
 }
 
 // RunCSV runs the family over points and streams the raw per-instance
 // metrics to w while the run is still going: each worker encodes its
 // shard's rows while the results are hot and hands them to the in-order
 // csvStream flush. The results are returned as from Run, together with the
-// first encode or write error (the run always completes; encoding is
-// skipped once a write has failed).
+// first encode or write error (the run always completes).
 func (f *Family[P]) RunCSV(w io.Writer, points []P, o Options) ([]Result[P], error) {
 	o = f.withDefaults(o)
 	if err := writeHeader(w, f.header()); err != nil {
@@ -148,17 +127,14 @@ func (f *Family[P]) RunCSV(w io.Writer, points []P, o Options) ([]Result[P], err
 	}
 	stream := &csvStream{w: w, pending: map[int][]byte{}}
 	results := f.run(points, o, func(si int, shard []Result[P]) {
-		if stream.failed() {
-			return
-		}
 		var buf bytes.Buffer
-		if err := f.encodeShard(&buf, shard, o.Schedulers); err != nil {
-			stream.fail(fmt.Errorf("exp: encoding %s shard %d: %w", f.name, si, err))
-			return
+		err := f.encodeShard(&buf, shard, o.Schedulers)
+		if err != nil {
+			err = fmt.Errorf("exp: encoding %s shard %d: %w", f.name, si, err)
 		}
-		stream.add(si, buf.Bytes())
+		stream.add(si, buf.Bytes(), err)
 	})
-	return results, stream.err()
+	return results, stream.err
 }
 
 // fields reads one CSV row's typed columns: the first unparsable column

@@ -81,7 +81,8 @@ func TestEncodeShardPropagatesWriterError(t *testing.T) {
 // completion.
 func TestRunGridCSVPropagatesWriteError(t *testing.T) {
 	points := []GridPoint{{Sites: 3, Databanks: 3, Availability: 0.6, Density: 1}}
-	opts := Options{Runs: 3, Seed: 1, Workers: 2, DryRun: true}
+	// Three shards, so writes after the first failed one would show.
+	opts := Options{Runs: 2*shardSize + 1, Seed: 1, Workers: 2, DryRun: true}
 	w := &failingWriter{allow: 1} // header write succeeds, first shard write fails
 	results, err := Grid.RunCSV(w, points, opts)
 	if !errors.Is(err, errWriterBroken) {
@@ -93,6 +94,22 @@ func TestRunGridCSVPropagatesWriteError(t *testing.T) {
 	}
 	if w.errWrites != 1 {
 		t.Fatalf("writes after the failure point = %d, want 1 (writing must stop at the first error)", w.errWrites)
+	}
+}
+
+// TestWriteClusterCSV pins the cluster family's row layout, failure
+// accounting included.
+func TestWriteClusterCSV(t *testing.T) {
+	r := newResult(ClusterPoint{Machines: 2, Balancer: "random", Density: 1, Rate: 0.5}, 0, 10)
+	r.record("SWRPT", 1.5, 14.2, 2, 3.5)
+	var buf bytes.Buffer
+	if err := Cluster.WriteCSV(&buf, []ClusterResult{r}, []string{"SWRPT"}); err != nil {
+		t.Fatal(err)
+	}
+	want := "machines,balancer,density,rate,run,jobs,scheduler,max_stretch,sum_stretch,retries,lost_work\n" +
+		"2,random,1,0.5,0,10,SWRPT,1.5,14.2,2,3.5\n"
+	if buf.String() != want {
+		t.Fatalf("csv = %q, want %q", buf.String(), want)
 	}
 }
 

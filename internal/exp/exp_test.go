@@ -163,4 +163,12 @@ func TestFigure3AccountsEverySample(t *testing.T) {
 	for _, err := range errs {
 		t.Log(err)
 	}
+
+	// One expected job per instance leaves some instances empty: counted,
+	// but neither failed nor sampled.
+	points, errs = RunFigure3(Fig3Options{Densities: []float64{1}, JobLengths: []float64{10},
+		Runs: 16, TargetJobs: 1, Seed: 3})
+	if p := points[0]; p.Empty == 0 || p.N+p.Failed+p.Empty != 16 || len(errs) != p.Failed {
+		t.Fatalf("one-job sweep: N %d, failed %d, empty %d, errors %v", p.N, p.Failed, p.Empty, errs)
+	}
 }

@@ -41,6 +41,8 @@ type Family[P comparable] struct {
 	worker func() instanceRunner[P]
 }
 
+// instanceRunner runs every scheduler of o on inst, one generated
+// instance of res.Point, recording into res.
 type instanceRunner[P comparable] func(o Options, res *Result[P], inst *model.Instance, pointIdx int)
 
 // Options controls a family run.

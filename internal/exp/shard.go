@@ -7,10 +7,9 @@ import (
 )
 
 // This file is the task-space machinery shared by every experiment family
-// (the paper grid and the cluster family): fixed-size contiguous shards
-// over a task space, a weight-ordered dispatch queue, a generic worker
-// pool with per-worker state, and point-interleaved slicing for CI
-// matrices. Results must derive from task coordinates alone, so worker
+// and by Figure 3: fixed-size contiguous shards over a task space, a
+// weight-ordered dispatch queue, a generic worker pool with per-worker
+// state, and point-interleaved slicing for CI matrices. Results must derive from task coordinates alone, so worker
 // count and dispatch order can never change output bytes.
 
 // shardSize is the number of tasks per worker shard: small enough to
@@ -66,12 +65,12 @@ func shardWeights(total int, taskWeight func(ti int) float64) []float64 {
 
 // runSharded is the generic worker-pool core: tasks 0..total-1 are grouped
 // into contiguous shards dispatched in the given order; workers pull shard
-// indices from a channel, each owning one W (a core.Runner, a cluster
-// runner) built by newWorker, so simulation buffers are reused across a
-// worker's whole share. onShard, when non-nil, is invoked by the finishing
+// indices from a channel, each owning one W built by newWorker (a family's
+// instance runner, Figure 3's core.Runner), so simulation buffers are
+// reused across a worker's whole share. onShard, when non-nil, is invoked by the finishing
 // worker with each completed shard's index and task range; shards finish in
 // arbitrary order and calls may be concurrent, so consumers that need task
-// order must reorder by index (as the CSV streamers do). progress calls are
+// order must reorder by index (as RunCSV does). progress calls are
 // serialised and counted under one lock, so (total, total) is always last.
 func runSharded[W any](total, workers int, newWorker func() W, order []int,
 	run func(wk W, ti int), onShard func(si, lo, hi int), progress func(done, total int)) {
