@@ -1,7 +1,7 @@
-// Command experiments regenerates the paper's evaluation artefacts: the
+// Command experiments regenerates the paper's evaluation artefacts — the
 // aggregate comparison tables (Tables 1–16) over the 162-configuration
-// grid, and the Figure 3 density sweep comparing the optimised and
-// non-optimised online heuristics.
+// grid and the Figure 3 density sweep comparing the optimised and
+// non-optimised online heuristics — and the cluster family's tables.
 //
 // Usage examples:
 //
@@ -16,24 +16,24 @@
 //	experiments -tables all -times t.csv                 # measure per-point cost
 //	experiments -tables all -fromtimes t.csv             # dispatch by measured cost
 //	experiments -tables cluster -runs 5                  # single vs parallel machines
-//	experiments -tables cluster -shard 0/3 -csv c0.csv   # one cluster matrix job
-//	experiments -tables cluster -fromcsv merged.csv      # cluster tables, no run
 //	experiments -tables faults -runs 5                   # stretch vs failure rate
-//	experiments -tables faults -shard 0/2 -csv f0.csv    # one faults matrix job
-//	experiments -tables faults -fromcsv merged.csv       # fault tables, no run
 //
-// The scheduled nightly workflow (.github/workflows/nightly.yml) runs the
-// paper-scale pass — `-tables all -horizon 900 -runs 200` — as a matrix of
-// `-shard k/n` jobs whose CSVs a final job concatenates, checks against a
-// `-dryrun` row count and the shards' per-point row digests (recomputed
-// from the merged file with `-fromcsv ... -digest`), and renders into
-// tables via `-fromcsv`. The cluster experiment family shards, digests and
-// merges the same way under two -tables names, each a grid, a scheduler
-// list and a view over the one (machines, balancer, density, rate) point
-// type: `-tables cluster` is the Srivastav–Trystram single-vs-parallel
+// Every -tables name — all (or -table N), cluster and faults — is a grid,
+// a scheduler list and a view over one experiment family (exp.Grid or
+// exp.Cluster), and runs through one code path: -shard, -dryrun, -csv,
+// -digest, -fromcsv, -times and -fromtimes mean the same for each.
+// `-tables cluster` is the Srivastav–Trystram single-vs-parallel
 // comparison over the load-balanced cluster world, and `-tables faults`
 // charts max/mean retry-inflated stretch against seeded machine-failure
-// rates per balancer.
+// rates per balancer. -figure prints each failed Figure 3 sample on
+// stderr and their count in its summary line.
+//
+// The scheduled nightly workflow (.github/workflows/nightly.yml) runs each
+// grid — `-tables all -horizon 900 -runs 200` and the cluster family's
+// two grids at `-runs 100` — as a matrix of `-shard k/n` jobs whose CSVs
+// a merge job concatenates, checks against a `-dryrun` row count and the
+// shards' per-point row digests (recomputed from the merged file with
+// `-fromcsv ... -digest`), and renders into tables via `-fromcsv`.
 package main
 
 import (
