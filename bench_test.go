@@ -301,52 +301,31 @@ func BenchmarkOfflineExactFloatHeavy(b *testing.B) {
 	}
 }
 
-// benchOnlineEvents replays Online-EGDF in Exact mode — one System (1)
-// re-optimisation per arrival event — through one engine + workspace, with
-// the incremental session warm (default) or forced cold (the ablation).
-// Alongside ns/op for the whole replay it reports the per-event solve cost
-// (ns/solve), the mean simplex iterations per event, and the fallback rate,
-// all derived from the session's own counters.
-func benchOnlineEvents(b *testing.B, cold bool) {
-	b.Helper()
+// BenchmarkOnlineEventSolve replays Online-EGDF in Exact mode — one exact
+// step-2 solve per arrival event, refined on parametric cuts and certified
+// by a rational max-flow — through one engine + workspace, and reports
+// the cost per arrival (ns/arrival) next to ns/op for the whole replay.
+func BenchmarkOnlineEventSolve(b *testing.B) {
 	inst := benchInstance(b, 25)
 	eng := sim.NewEngine()
 	e := online.NewEGDF()
 	e.Solver.Exact = true
-	ws := offline.NewWorkspace()
-	e.SetWorkspace(ws)
-	ws.Session().SetColdOnly(cold)
+	e.SetWorkspace(offline.NewWorkspace())
 	if _, err := eng.RunList(inst, e); err != nil {
 		b.Fatal(err)
 	}
-	st := ws.SessionStats()
-	*st = lp.IncrementalStats{}
+	arrivals := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.RunList(inst, e); err != nil {
 			b.Fatal(err)
 		}
+		arrivals += inst.NumJobs()
 	}
 	b.StopTimer()
-	if solves := st.Cold + st.Warm + st.Fallback; solves > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(solves), "ns/solve")
-		b.ReportMetric(float64(st.ColdIters+st.WarmIters)/float64(solves), "iters/solve")
-		b.ReportMetric(float64(st.Fallback)/float64(b.N), "fallbacks/run")
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
 }
-
-// BenchmarkOnlineEventSolve is the acceptance benchmark of the incremental
-// re-optimisation layer (ROADMAP item 1): per-event warm-started System (1)
-// solves on the online path. Its cold companion below re-solves every event
-// from scratch through the identical session plumbing, so the pair isolates
-// exactly what warm-starting buys; both are recorded per commit in
-// BENCH_<sha>.json by the bench-smoke job.
-func BenchmarkOnlineEventSolve(b *testing.B) { benchOnlineEvents(b, false) }
-
-// BenchmarkOnlineEventSolveCold is the cold-ablation companion of
-// BenchmarkOnlineEventSolve.
-func BenchmarkOnlineEventSolveCold(b *testing.B) { benchOnlineEvents(b, true) }
 
 // benchServeLoop replays a generated workload through a serve.Loop — one
 // arrival event per job, one completion event per job, a replan at every
@@ -607,39 +586,26 @@ func BenchmarkMinCostFlow(b *testing.B) {
 // --- ablation benchmarks (design choices from DESIGN.md) ---
 
 // BenchmarkAblationExactRefinement compares the float bisection refinement
-// against the exact rational System (1) LP on the same instance — the
-// price of eliminating the §5.3 precision anomaly — and, within the exact
-// mode, the sparse revised simplex against the dense-tableau oracle
-// (Solver.DenseLP): the System (1) ablation DESIGN.md quotes. The gap
-// between the last two grows with platform size; see
-// BenchmarkOfflineExactScale for the paper-scale end of the curve.
+// against the exact parametric-cut refinement on the same instance — the
+// price of eliminating the §5.3 precision anomaly. The System (1) linear
+// programs the cut replaced are timed by offline's BenchmarkExactOracle.
 func BenchmarkAblationExactRefinement(b *testing.B) {
 	inst := benchInstance(b, 8)
 	prob := offline.FromInstance(inst)
-	b.Run("bisection", func(b *testing.B) {
-		s := offline.Solver{Exact: false}
-		for i := 0; i < b.N; i++ {
-			if _, err := s.OptimalStretch(prob); err != nil {
-				b.Fatal(err)
-			}
+	for _, exact := range []bool{false, true} {
+		name := "bisection"
+		if exact {
+			name = "exact-cut"
 		}
-	})
-	b.Run("exact-lp-revised", func(b *testing.B) {
-		s := offline.Solver{Exact: true}
-		for i := 0; i < b.N; i++ {
-			if _, err := s.OptimalStretch(prob); err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			s := offline.Solver{Exact: exact}
+			for i := 0; i < b.N; i++ {
+				if _, err := s.OptimalStretch(prob); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("exact-lp-dense", func(b *testing.B) {
-		s := offline.Solver{Exact: true, DenseLP: true}
-		for i := 0; i < b.N; i++ {
-			if _, err := s.OptimalStretch(prob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationFeasibilityOracle compares the single-machine EDF

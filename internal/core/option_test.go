@@ -10,7 +10,7 @@ import (
 // TestNewOptionConstructor exercises the Option-based constructor: the
 // workspace threads through to the built scheduler, list policies expose
 // themselves via PolicyBacked, and the unified Stats snapshot sees the
-// workspace's session counters after an exact run.
+// workspace's tier counters after an exact run.
 func TestNewOptionConstructor(t *testing.T) {
 	if _, err := New("no-such-scheduler"); err == nil {
 		t.Fatal("unknown scheduler accepted")
@@ -43,15 +43,12 @@ func TestNewOptionConstructor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The exact run went through ws's incremental session; Collect over the
-	// same workspace must report it, with the scheduler's solve counters
-	// keyed by name.
+	// The exact run's rational certificates counted into ws's tier
+	// counters; Collect over the same workspace must report them, with the
+	// scheduler's solve counters keyed by name.
 	st := Collect(ws, map[string]Scheduler{sched.Name(): sched})
-	if !st.HasIncremental {
-		t.Fatal("exact run left no incremental-session stats on the workspace")
-	}
-	if st.Incremental.Warm+st.Incremental.Cold == 0 {
-		t.Fatalf("session recorded no solves: %+v", st.Incremental)
+	if !st.HasTiers || st.Tiers.Total() == 0 {
+		t.Fatalf("exact EGDF run left no tier counts on the workspace: %+v", st.Tiers)
 	}
 	if _, ok := st.Solve["Online-EGDF"]; !ok {
 		t.Fatalf("Stats.Solve missing the scheduler: %+v", st.Solve)

@@ -42,7 +42,8 @@ type Graph[T any] struct {
 	// MaxFlow scratch, retained across calls.
 	level []int
 	iter  []int
-	queue []int
+	queue []int  // BFS queue; MinCutReachable's stack
+	seen  []bool // MinCutReachable result
 	sink  int
 	inf   T // augmentation limit during the current MaxFlow
 }
@@ -211,24 +212,30 @@ func (g *Graph[T]) dfs(u int, limit T) T {
 }
 
 // MinCutReachable returns, after MaxFlow, the set of nodes reachable from s
-// in the residual network. It certifies the min cut for testing.
+// in the residual network: the source side of a minimum cut. The slice is
+// graph scratch, overwritten by the next call, so reading cuts of
+// successive networks allocates nothing.
+//
+//stretch:noalloc
 func (g *Graph[T]) MinCutReachable(s int) []bool {
 	ops := g.ops
-	seen := make([]bool, g.n)
-	stack := []int{s}
-	seen[s] = true
+	g.seen = grow(g.seen, g.n)
+	clear(g.seen)
+	g.seen[s] = true
+	stack := append(g.queue[:0], s)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, id := range g.head[u] {
 			v := g.to[id]
-			if !seen[v] && ops.Sign(g.cap[id]) > 0 {
-				seen[v] = true
+			if !g.seen[v] && ops.Sign(g.cap[id]) > 0 {
+				g.seen[v] = true
 				stack = append(stack, v)
 			}
 		}
 	}
-	return seen
+	g.queue = stack
+	return g.seen
 }
 
 // grow returns s resized to length n, reusing its backing array when large

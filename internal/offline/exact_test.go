@@ -147,33 +147,37 @@ func TestExactFloatHeavySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestExactDenseMatchesRevised: the sparse revised simplex (the exact
-// backend's production solver) and the dense tableau (kept as oracle,
-// Solver.DenseLP) must agree on the exact optimal stretch — not within a
-// tolerance but as identical rationals — across random instances. The
-// witness allocations may differ (degenerate optima have many vertices),
-// but both must be valid.
+// TestExactDenseMatchesRevised: System (1) on the sparse revised simplex
+// and on the dense tableau — the two oracles of the parametric cut — agree
+// on the exact optimal stretch with each other and with the cut, not
+// within a tolerance but as identical rationals, across random instances.
+// The witness allocations may differ (degenerate optima have many
+// vertices, and the cut's witness is a flow), but all must be valid.
 func TestExactDenseMatchesRevised(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 8; trial++ {
 		inst := randomInstance(t, rng, 1+rng.Intn(2), 1+rng.Intn(2), 2+rng.Intn(5))
 
-		revised := Solver{Exact: true}
-		rsol, err := revised.OptimalStretch(FromInstance(inst))
+		rsol, err := OracleStretch(FromInstance(inst), false)
 		if err != nil {
 			t.Fatalf("trial %d revised: %v", trial, err)
 		}
-		dense := Solver{Exact: true, DenseLP: true}
-		dsol, err := dense.OptimalStretch(FromInstance(inst))
+		dsol, err := OracleStretch(FromInstance(inst), true)
 		if err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		if rsol.ExactStretch.Cmp(dsol.ExactStretch) != 0 {
-			t.Fatalf("trial %d: revised stretch %v, dense %v",
-				trial, rsol.ExactStretch, dsol.ExactStretch)
+		exact := Solver{Exact: true}
+		csol, err := exact.OptimalStretch(FromInstance(inst))
+		if err != nil {
+			t.Fatalf("trial %d cut: %v", trial, err)
+		}
+		if rsol.ExactStretch.Cmp(dsol.ExactStretch) != 0 || csol.ExactStretch.Cmp(rsol.ExactStretch) != 0 {
+			t.Fatalf("trial %d: revised stretch %v, dense %v, cut %v",
+				trial, rsol.ExactStretch, dsol.ExactStretch, csol.ExactStretch)
 		}
 		checkAlloc(t, rsol.Alloc)
 		checkAlloc(t, dsol.Alloc)
+		checkAlloc(t, csol.Alloc)
 	}
 }
 
@@ -195,5 +199,40 @@ func TestExactStretchIsRational(t *testing.T) {
 	}
 	if sol.ExactStretch.Cmp(rat.One) < 0 {
 		t.Fatalf("stretch below 1: %v", sol.ExactStretch)
+	}
+}
+
+// BenchmarkExactOracle times the exact refinement against the System (1)
+// linear programs it replaced, which stay as its test oracles: the sparse
+// revised simplex and the dense tableau, on the paper's 3-site shape.
+func BenchmarkExactOracle(b *testing.B) {
+	inst, err := workload.Config{
+		Sites: 3, Databanks: 3, Availability: 0.6, Density: 1.5,
+		TargetJobs: 8, SizeRange: [2]float64{10, 200}, Seed: 20_06,
+	}.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob := FromInstance(inst)
+	b.Run("cut", func(b *testing.B) {
+		s := Solver{Exact: true}
+		for i := 0; i < b.N; i++ {
+			if _, err := s.OptimalStretch(prob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, dense := range []bool{false, true} {
+		name := "lp-revised"
+		if dense {
+			name = "lp-dense"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := OracleStretch(prob, dense); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -141,7 +141,7 @@ func (ss *Session) Restore(st SessionState) error {
 // the sparse exact path warm-starts; float-bisection and DenseLP
 // configurations delegate to the one-shot solver unchanged.
 func (ss *Session) OptimalStretch(s *Solver, p *Problem) (*Solution, error) {
-	if !s.Exact || s.DenseLP {
+	if !s.Exact {
 		return s.OptimalStretch(p)
 	}
 	ss.assignSlots(p)

@@ -92,7 +92,7 @@ func sessionStream(t *testing.T, inst *model.Instance, ops []byte) *Session {
 // and stay bit-identical to cold solves throughout.
 func TestSessionEventStreamWarmEqualsCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	inst := randomFuzzInstance(rng)
+	inst := randomFuzzInstance(rng, false)
 	ops := []byte{0, 0, 5, 7, 4, 3, 9, 8, 6, 1, 0, 2}
 	warm := sessionStream(t, inst, ops)
 	st := warm.Stats()
@@ -234,40 +234,7 @@ func FuzzIncrementalDifferential(f *testing.F) {
 			ops = ops[:24]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		inst := randomFuzzInstance(rng)
+		inst := randomFuzzInstance(rng, false)
 		sessionStream(t, inst, ops)
 	})
-}
-
-// randomFuzzInstance is randomInstance without the testing.T plumbing (the
-// fuzz target builds instances inside the fuzz function).
-func randomFuzzInstance(rng *rand.Rand) *model.Instance {
-	nm, nb, nj := 1+rng.Intn(2), 1+rng.Intn(2), 3+rng.Intn(6)
-	ms := make([]model.Machine, nm)
-	for i := range ms {
-		var banks []model.DatabankID
-		for b := 0; b < nb; b++ {
-			if i == 0 || rng.Float64() < 0.6 {
-				banks = append(banks, model.DatabankID(b))
-			}
-		}
-		ms[i] = model.Machine{Speed: 0.5 + 2*rng.Float64(), Databanks: banks}
-	}
-	p, err := model.NewPlatform(ms, nb)
-	if err != nil {
-		panic(err)
-	}
-	jobs := make([]model.Job, nj)
-	for j := range jobs {
-		jobs[j] = model.Job{
-			Release:  rng.Float64() * 4,
-			Size:     0.5 + 4*rng.Float64(),
-			Databank: model.DatabankID(rng.Intn(nb)),
-		}
-	}
-	inst, err := model.NewInstance(p, jobs)
-	if err != nil {
-		panic(err)
-	}
-	return inst
 }

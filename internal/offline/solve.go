@@ -13,20 +13,14 @@ import (
 
 // Solver configures the optimal max-stretch computation.
 type Solver struct {
-	// Exact switches the final refinement from float64 bisection to
-	// System (1) solved on exact rationals, eliminating the precision
-	// anomaly of §5.3 at a (substantial) constant-factor cost.
+	// Exact switches the final refinement from float64 bisection to an
+	// exact parametric-cut search certified by a rational max-flow
+	// (refineCut), which returns the optimum of System (1) as a rational
+	// and so eliminates the precision anomaly of §5.3.
 	Exact bool
 	// RelTol is the relative width at which float bisection stops
 	// (default 1e-10).
 	RelTol float64
-	// DenseLP routes the exact System (1) program through the dense
-	// simplex tableau instead of the sparse revised method. The dense
-	// tableau pays O(m·n) row work per pivot on a matrix that is ~95%
-	// zeros at paper scale, so this exists only as the differential
-	// oracle and ablation baseline (equivalence tests,
-	// BenchmarkAblationExactRefinement); leave it off otherwise.
-	DenseLP bool
 }
 
 // Solution is an optimal max-stretch together with a witness allocation.
@@ -52,7 +46,7 @@ func (s *Solver) OptimalStretch(p *Problem) (*Solution, error) {
 	}
 
 	if s.Exact {
-		return s.refineExact(p, flo, fhi)
+		return p.refineCut(flo, fhi)
 	}
 
 	// Float bisection inside the bracketing interval.
@@ -81,7 +75,7 @@ func (s *Solver) OptimalStretch(p *Problem) (*Solution, error) {
 // including) the final refinement: it either finishes the solve outright
 // (no tasks, or the lower bound is already feasible — non-nil Solution) or
 // returns the bracketing interval [flo, fhi] for a refinement step to pin
-// down. Shared by OptimalStretch and the incremental Session.
+// down. Shared by OptimalStretch and OracleStretch.
 func (s *Solver) bracket(p *Problem) (*Solution, float64, float64, error) {
 	if err := p.validate(); err != nil {
 		return nil, 0, 0, err
@@ -153,22 +147,25 @@ func allocSolveSlot(p *Problem) *Alloc {
 	return nil
 }
 
-// exTriple identifies one System (1) variable x_{t,i,k}: interval t,
-// machine i, task k. It doubles as the admissibility map key.
-type exTriple struct{ t, i, k int }
+// OracleStretch is the Exact-mode OptimalStretch with System (1) solved as
+// a linear program on the rational revised simplex (dense: the dense
+// tableau) in place of the parametric cut. System (1) has a unique optimum,
+// so both return the same ExactStretch; this is the differential oracle of
+// the cut's tests and no production path calls it.
+func OracleStretch(p *Problem, dense bool) (*Solution, error) {
+	s := Solver{Exact: true}
+	sol, flo, fhi, err := s.bracket(p)
+	if sol != nil || err != nil {
+		return sol, err
+	}
+	return p.refineExact(flo, fhi, dense)
+}
 
 // refineExact solves System (1) on [flo, fhi] with exact rational
 // arithmetic: minimise F subject to the interval-capacity and completion
 // constraints, the interval bounds being affine functions of F with the
-// ordering frozen inside the bracket. With a workspace attached, every
-// construction buffer — variable list, admissibility index, sparse rows,
-// interval affines, the LP itself — is pooled, so the only steady-state
-// allocations left are the math/big escapes of rationals that outgrow the
-// inline fixed-width forms, now 128 bits wide (none at all on instances
-// with small-rational data, see TestExactSmallDataSteadyStateAllocs; a
-// budgeted residue on full-mantissa float data, see
-// TestExactFloatHeavySteadyStateAllocs).
-func (s *Solver) refineExact(p *Problem, flo, fhi float64) (*Solution, error) {
+// ordering frozen inside the bracket.
+func (p *Problem) refineExact(flo, fhi float64, dense bool) (*Solution, error) {
 	mid := flo + (fhi-flo)/2
 	bounds := p.intervalAffines(mid)
 	nT := len(bounds) - 1
@@ -179,60 +176,20 @@ func (s *Solver) refineExact(p *Problem, flo, fhi float64) (*Solution, error) {
 	n := len(p.Tasks)
 
 	// Variable layout: x_{t,i,k} for admissible triples, then F last.
-	var vars []exTriple
-	var varOf map[exTriple]int
-	if p.ws != nil {
-		vars = p.ws.exVars[:0]
-		if p.ws.exVarOf == nil {
-			p.ws.exVarOf = map[exTriple]int{}
-		}
-		varOf = p.ws.exVarOf
-		clear(varOf)
-	} else {
-		varOf = map[exTriple]int{}
+	vars, err := p.exactTriples(bounds, mid, flo, fhi, nil)
+	if err != nil {
+		return nil, err
 	}
-	for k := 0; k < n; k++ {
-		tk := &p.Tasks[k]
-		d := tk.Deadline(mid)
-		for t := 0; t < nT; t++ {
-			lo, hi := bounds[t].EvalFloat(mid), bounds[t+1].EvalFloat(mid)
-			tol := 1e-12 * (1 + math.Abs(hi))
-			if !(tk.Release <= lo+tol && d >= hi-tol) {
-				continue
-			}
-			for _, mi := range p.eligible(k) {
-				varOf[exTriple{t, int(mi), k}] = len(vars)
-				vars = append(vars, exTriple{t, int(mi), k})
-			}
-		}
+	varOf := map[exTriple]int{}
+	for v, tr := range vars {
+		varOf[tr] = v
 	}
 	fVar := len(vars)
-	var prob *lp.Problem[rat.Rat]
-	var lpws *lp.Workspace[rat.Rat]
-	var vs []int
-	var cs []rat.Rat
-	if p.ws != nil {
-		p.ws.exVars = vars
-		if p.ws.lpProb == nil {
-			// The LP workspace owns the tier counters; wiring them into the
-			// problem's ops once here has every exact solve on this
-			// workspace instrumented (surfaced via Workspace.TierStats and
-			// core.Stats.Tiers).
-			p.ws.lpws = lp.NewWorkspace[rat.Rat]()
-			p.ws.lpProb = lp.New[rat.Rat](lp.RatOps{Tiers: p.ws.lpws.Tiers()}, fVar+1)
-		} else {
-			p.ws.lpProb.Reset(fVar + 1)
-		}
-		prob, lpws = p.ws.lpProb, p.ws.lpws
-		vs, cs = p.ws.exVS[:0], p.ws.exCS[:0]
-	} else {
-		prob = lp.New[rat.Rat](lp.RatOps{}, fVar+1)
-	}
+	prob := lp.New[rat.Rat](lp.RatOps{}, fVar+1)
 	prob.SetObjectiveCoef(fVar, rat.One)
 
-	// flo ≤ F ≤ fhi. AddSparse copies its arguments, so the vs/cs scratch
-	// pair is reused for every constraint below.
-	vs, cs = append(vs[:0], fVar), append(cs[:0], rat.One)
+	// flo ≤ F ≤ fhi.
+	vs, cs := []int{fVar}, []rat.Rat{rat.One}
 	prob.AddSparse(vs, cs, lp.GE, rat.FromFloat(flo))
 	prob.AddSparse(vs, cs, lp.LE, rat.FromFloat(fhi))
 
@@ -266,25 +223,14 @@ func (s *Solver) refineExact(p *Problem, flo, fhi float64) (*Solution, error) {
 				cs = append(cs, rat.One)
 			}
 		}
-		if len(vs) == 0 {
-			return nil, fmt.Errorf("offline: task %d has no admissible slot in [%v,%v]", k, flo, fhi)
-		}
 		prob.AddSparse(vs, cs, lp.EQ, rat.FromFloat(p.Tasks[k].Work))
-	}
-	if p.ws != nil {
-		p.ws.exVS, p.ws.exCS = vs, cs
 	}
 
 	var sol *lp.Solution[rat.Rat]
-	var err error
-	if s.DenseLP {
-		sol, err = prob.SolveWith(lpws)
+	if dense {
+		sol, err = prob.SolveWith(nil)
 	} else {
-		// The revised simplex is the production exact path: System (1)
-		// matrices are overwhelmingly sparse (each variable touches one
-		// capacity and one completion row), which the dense tableau cannot
-		// exploit.
-		sol, err = prob.SolveRevisedWith(lpws)
+		sol, err = prob.SolveRevisedWith(nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("offline: System (1) refinement: %w", err)
@@ -292,7 +238,6 @@ func (s *Solver) refineExact(p *Problem, flo, fhi float64) (*Solution, error) {
 	fstar := sol.X[fVar]
 	alloc := p.allocSlot(allocSolveSlot(p))
 	alloc.prepare(p, fstar.Float(), nil, nT, m, n)
-	alloc.Bounds = alloc.Bounds[:0]
 	for _, b := range bounds {
 		alloc.Bounds = append(alloc.Bounds, b.Eval(fstar).Float())
 	}

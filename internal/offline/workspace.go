@@ -65,19 +65,15 @@ type Workspace struct {
 	ks         []int
 	plan       sim.Plan
 
-	// Exact-mode System (1) solver state: the pooled rational LP, its
-	// tableau workspace, and the refineExact construction scratch — the
-	// admissible-triple list and index, one reusable sparse-row buffer
-	// pair, and the interval-affine structure — so a steady-state exact
-	// refinement rebuilds System (1) without reallocating any of it.
-	lpProb   *lp.Problem[rat.Rat]
-	lpws     *lp.Workspace[rat.Rat]
-	exVars   []exTriple
-	exVarOf  map[exTriple]int
-	exVS     []int
-	exCS     []rat.Rat
+	// Exact refinement state: the interval-affine structure, the cut
+	// network scratch, and the rational certificate graph with the ops it
+	// runs on, whose tier counters accumulate into tiers.
 	exItems  []affItem
 	exBounds []rat.Affine
+	cut      cutNet
+	exact    *flow.Graph[rat.Rat]
+	rops     lp.RatOps
+	tiers    rat.TierStats
 
 	// sess is the persistent incremental System (1) solve session of the
 	// online path (lazily created by Session). It owns its own lp.Problem
@@ -91,15 +87,11 @@ type Workspace struct {
 // first use and grown only when an instance exceeds every previous one.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// TierStats returns the exact backend's representation-tier counters,
-// accumulated across every exact refinement on this workspace, or nil when
-// no exact solve has run yet. Reset between runs for per-run numbers.
-func (ws *Workspace) TierStats() *rat.TierStats {
-	if ws.lpws == nil {
-		return nil
-	}
-	return ws.lpws.Tiers()
-}
+// TierStats returns the representation-tier counters of the exact
+// refinement's rational arithmetic, accumulated across every exact solve on
+// this workspace, or nil when no exact solve has run yet. Reset between
+// runs for per-run numbers.
+func (ws *Workspace) TierStats() *rat.TierStats { return ws.rops.Tiers }
 
 // Session returns the workspace's persistent incremental solve session,
 // creating it on first use. The online exact path solves through it to

@@ -182,12 +182,6 @@ func (h *Heuristic) Plan(ctx *sim.Ctx) (*sim.Plan, error) {
 type EGDF struct {
 	Solver offline.Solver
 
-	// DisableIncremental turns off the warm-started incremental solve
-	// session for the per-event step-2 re-optimisations in Exact mode and
-	// re-solves cold from scratch instead — the ablation baseline of
-	// BenchmarkOnlineEventSolveCold. Off (incremental enabled) by default.
-	DisableIncremental bool
-
 	ws       *offline.Workspace
 	rank     map[model.JobID]int
 	order    []model.JobID // pooled GlobalOrder output
@@ -268,7 +262,11 @@ func (e *EGDF) OnEvent(ctx *sim.Ctx) {
 		e.hasRank = true
 		return
 	}
-	sol, err := e.step2(prob)
+	solve := e.solve
+	if solve == nil {
+		solve = (*offline.Solver).OptimalStretch
+	}
+	sol, err := solve(&e.Solver, prob)
 	if err != nil {
 		// Degenerate numeric failure: keep the previous order rather than
 		// stopping the simulation; SWRPT ties still give a total order.
@@ -299,23 +297,6 @@ func (e *EGDF) OnEvent(ctx *sim.Ctx) {
 		e.rank[j] = i
 	}
 	e.hasRank = true
-}
-
-// step2 computes the best achievable max-stretch for the current context.
-// With a workspace attached and the sparse exact backend selected, it
-// solves through the workspace's persistent incremental session, which
-// warm-starts each per-event System (1) program from the previous event's
-// optimal basis (falling back to a counted cold solve when feasibility
-// repair fails — see offline.Session). Every other configuration, and the
-// DisableIncremental ablation, re-solves from scratch as before.
-func (e *EGDF) step2(prob *offline.Problem) (*offline.Solution, error) {
-	if e.solve != nil {
-		return e.solve(&e.Solver, prob)
-	}
-	if e.ws != nil && e.Solver.Exact && !e.Solver.DenseLP && !e.DisableIncremental {
-		return e.ws.Session().OptimalStretch(&e.Solver, prob)
-	}
-	return e.Solver.OptimalStretch(prob)
 }
 
 // Less implements sim.Policy.

@@ -33,8 +33,8 @@ func testWorkload(t testing.TB) *model.Instance {
 	return inst
 }
 
-// egdfExactConfig builds a serving config on the exact incremental path —
-// the configuration whose checkpoint carries session state.
+// egdfExactConfig builds a serving config on the exact path: Online-EGDF
+// with rational step-2 solves.
 func egdfExactConfig(t testing.TB, inst *model.Instance, log io.Writer) Config {
 	t.Helper()
 	ws := offline.NewWorkspace()
@@ -100,9 +100,8 @@ func TestServeEveryPolicy(t *testing.T) {
 
 // TestCheckpointRestoreDeterminism is the tentpole acceptance test: a
 // daemon checkpointed mid-stream and restored in a fresh process image
-// must produce a byte-identical decision log to the uninterrupted run —
-// including the exact-mode session, whose warm state is never encoded
-// (the restored session re-solves cold; warm ≡ cold in objective).
+// must produce a byte-identical decision log to the uninterrupted run, on
+// the exact-mode serving path.
 func TestCheckpointRestoreDeterminism(t *testing.T) {
 	inst := testWorkload(t)
 	jobs := inst.Jobs
@@ -134,18 +133,15 @@ func TestCheckpointRestoreDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Session == nil {
-		t.Fatal("exact-mode checkpoint carries no session state")
-	}
 
 	// Restored runs: decode from bytes (the full serialisation round trip),
 	// fresh workspace and scheduler, replay the second half. The second
-	// input carries a Session.PrevWork array, as checkpoints written before
-	// that field was dropped do; decoding must ignore it.
+	// input carries the Session object of the warm-started solve session
+	// that exact serving used to checkpoint; decoding must ignore it.
 	for _, in := range []struct {
 		name string
 		enc  []byte
-	}{{"current", enc}, {"with-PrevWork", withPrevWork(t, enc)}} {
+	}{{"current", enc}, {"with-Session", withSession(t, enc)}} {
 		t.Run(in.name, func(t *testing.T) {
 			dec, err := DecodeCheckpoint(in.enc)
 			if err != nil {
@@ -187,29 +183,32 @@ func TestCheckpointRestoreDeterminism(t *testing.T) {
 	}
 }
 
-// withPrevWork returns the encoded checkpoint with a per-slot PrevWork
-// array put back into its Session object.
-func withPrevWork(t *testing.T, enc []byte) []byte {
+// withSession returns the encoded checkpoint with a Session object put
+// back, shaped as the solve session wrote it: a slot table naming the
+// checkpoint's slots, their liveness, an empty free-list and the per-slot
+// PrevWork array of older checkpoints.
+func withSession(t *testing.T, enc []byte) []byte {
 	t.Helper()
-	var top, sess map[string]json.RawMessage
-	var slots []json.RawMessage
+	var top map[string]json.RawMessage
+	var slots []SlotCk
 	if err := json.Unmarshal(enc, &top); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(top["Session"], &sess); err != nil {
+	if err := json.Unmarshal(top["Slots"], &slots); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(sess["Slots"], &slots); err != nil {
-		t.Fatal(err)
-	}
-	work := make([]float64, len(slots))
-	for i := range work {
-		work[i] = float64(i) + 0.5
+	sess := struct {
+		Slots    []int
+		Live     []bool
+		Free     []int
+		PrevWork []float64
+	}{Free: []int{}}
+	for i, sc := range slots {
+		sess.Slots = append(sess.Slots, i)
+		sess.Live = append(sess.Live, sc.Live)
+		sess.PrevWork = append(sess.PrevWork, float64(i)+0.5)
 	}
 	var err error
-	if sess["PrevWork"], err = json.Marshal(work); err != nil {
-		t.Fatal(err)
-	}
 	if top["Session"], err = json.Marshal(sess); err != nil {
 		t.Fatal(err)
 	}
