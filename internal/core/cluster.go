@@ -127,9 +127,7 @@ func (c *ClusterRunner) ResetStats() {
 }
 
 // MergeStats combines two Stats snapshots — per-machine views of a cluster
-// run — into one aggregate: solver-failure and tier counters sum, the
-// incremental session's counters sum and its eta gauges take the
-// cluster-wide high-water mark.
+// run — into one aggregate: solver-failure and tier counters sum.
 func MergeStats(a, b Stats) Stats {
 	out := Stats{Solve: map[string]SolveStats{}}
 	for name, ss := range a.Solve {
@@ -149,20 +147,6 @@ func MergeStats(a, b Stats) Stats {
 		out.Tiers.Promotions[i] += b.Tiers.Promotions[i]
 		out.Tiers.Demotions[i] += b.Tiers.Demotions[i]
 	}
-	out.HasIncremental = a.HasIncremental || b.HasIncremental
-	ai, bi := a.Incremental, b.Incremental
-	out.Incremental = ai
-	out.Incremental.Cold += bi.Cold
-	out.Incremental.Warm += bi.Warm
-	out.Incremental.Fallback += bi.Fallback
-	out.Incremental.ColdIters += bi.ColdIters
-	out.Incremental.WarmIters += bi.WarmIters
-	out.Incremental.DualSteps += bi.DualSteps
-	out.Incremental.WarmPhase1 += bi.WarmPhase1
-	out.Incremental.EtaLen = max(ai.EtaLen, bi.EtaLen)
-	out.Incremental.EtaNNZ = max(ai.EtaNNZ, bi.EtaNNZ)
-	out.Incremental.MaxEtaLen = max(ai.MaxEtaLen, bi.MaxEtaLen)
-	out.Incremental.MaxEtaNNZ = max(ai.MaxEtaNNZ, bi.MaxEtaNNZ)
 	out.Faults = addFaults(a.Faults, b.Faults)
 	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"stretchsched/internal/cluster"
-	"stretchsched/internal/lp"
 	"stretchsched/internal/offline"
 	"stretchsched/internal/rat"
 )
@@ -18,11 +17,10 @@ type SolveStats struct {
 }
 
 // Stats is the unified snapshot of every solver diagnostic the scheduling
-// stack accumulates: per-scheduler solve-failure counters, the exact
-// rational backend's representation-tier counters, and the incremental
-// warm-start session's solve mix, in one stable struct — the single
-// source behind perfbench's per-layer metrics and the serving daemon's
-// /metrics endpoint.
+// stack accumulates: per-scheduler solve-failure counters and the exact
+// rational backend's representation-tier counters, in one stable struct —
+// the single source behind perfbench's per-layer metrics and the serving
+// daemon's /metrics endpoint.
 //
 // All fields are value copies taken at snapshot time; mutating them does
 // not affect the live counters (use Runner.ResetStats for per-run numbers).
@@ -39,17 +37,24 @@ type Stats struct {
 	Tiers    rat.TierStats
 	HasTiers bool
 
-	// Incremental holds the warm-start session's warm/cold/fallback solve
-	// mix, iteration counts and eta-file high-water marks, cumulative on
-	// the workspace's session. HasIncremental reports whether a session
-	// exists.
-	Incremental    lp.IncrementalStats
+	// Incremental and HasIncremental are never set: the warm-started LP
+	// session whose solve mix they reported is gone, and exact solves run
+	// on parametric cuts. They stay only because perfbench still reads
+	// them.
+	Incremental    IncrementalStats
 	HasIncremental bool
 
 	// Faults holds the failure/retry counters accumulated by a
 	// ClusterRunner's runs (machine failures hit, job executions killed,
 	// re-placements, lost work); zero when no run had a failing plan.
 	Faults cluster.FaultStats
+}
+
+// IncrementalStats is the shape of Stats.Incremental, which nothing sets.
+type IncrementalStats struct {
+	Cold, Warm, Fallback int
+	ColdIters, WarmIters int
+	DualSteps, MaxEtaLen int
 }
 
 // Collect assembles a Stats snapshot from a workspace and a set of
@@ -75,27 +80,21 @@ func Collect(ws *offline.Workspace, scheds map[string]Scheduler) Stats {
 		if ts := ws.TierStats(); ts != nil {
 			st.Tiers, st.HasTiers = *ts, true
 		}
-		if is := ws.SessionStats(); is != nil {
-			st.Incremental, st.HasIncremental = *is, true
-		}
 	}
 	return st
 }
 
 // Stats snapshots the runner's solver diagnostics: the solve-failure
 // counters of every scheduler it has cached, and the workspace-cumulative
-// tier and incremental-session counters.
+// tier counters.
 func (r *Runner) Stats() Stats { return Collect(r.ws, r.built) }
 
 // ResetStats zeroes the runner's cumulative workspace counters (exact
-// tiers, incremental session) so the next Stats snapshot reads per-run
-// numbers. Per-scheduler solve counters reset themselves at every run via
-// the Init contract and are not touched here.
+// tiers) so the next Stats snapshot reads per-run numbers. Per-scheduler
+// solve counters reset themselves at every run via the Init contract and
+// are not touched here.
 func (r *Runner) ResetStats() {
 	if ts := r.ws.TierStats(); ts != nil {
 		ts.Reset()
-	}
-	if is := r.ws.SessionStats(); is != nil {
-		*is = lp.IncrementalStats{}
 	}
 }

@@ -20,8 +20,6 @@ var noswallowWatch = map[string]map[string]bool{
 	"stretchsched/internal/lp": {
 		"Solve": true, "SolveWith": true,
 		"SolveRevised": true, "SolveRevisedWith": true,
-		// Incremental.Cold, the warm-start session's cold entry point.
-		"Cold": true,
 	},
 	"stretchsched/internal/offline": {
 		"Plan": true, "Refine": true, "Optimal": true, "OptimalStretch": true,

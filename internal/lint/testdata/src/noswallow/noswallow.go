@@ -1,8 +1,7 @@
 // Package noswallowdata seeds every way a watched error result can be
 // discarded — bare call statement, go, defer, blank-assigned — against the
-// real generic lp.Problem and lp.Incremental API, the cluster runner and
-// the generic experiment family, plus the legal forms
-// (error handled, hatch).
+// real generic lp.Problem API, the cluster runner and the generic
+// experiment family, plus the legal forms (error handled, hatch).
 package noswallowdata
 
 import (
@@ -38,10 +37,6 @@ func blankAssigned(p *lp.Problem[float64]) *lp.Solution[float64] {
 
 func bothBlank(p *lp.Problem[float64]) {
 	_, _ = p.Solve() // want "assigned to _"
-}
-
-func incrementalCold(inc *lp.Incremental[float64], p *lp.Problem[float64]) {
-	inc.Cold(p, nil, nil) // want "error result of lp.Cold is discarded (bare call statement)"
 }
 
 func clusterRun(cr *core.ClusterRunner, ci *model.ClusterInstance, lb cluster.LB) {

@@ -79,14 +79,7 @@ type revised[T any] struct {
 
 	basis []int // row -> basic column
 	pos   []int // column -> basic row, or -1; len n+m
-	xB    []T   // values of the basic variables, kept ≥ 0 while clampXB
-
-	// clampXB controls the float-dust clamp of negative basic values in
-	// pivot and recomputeXB. The primal simplex keeps xB ≥ 0 invariantly, so
-	// a negative entry there is cancellation dust and is clamped; the dual
-	// repair steps of the incremental session (incremental.go) walk through
-	// legitimately negative basic values and turn the clamp off.
-	clampXB bool
+	xB    []T   // values of the basic variables, kept ≥ 0
 
 	eta        etaFile[T]
 	sinceRefac int  // etas appended since the last refactorisation
@@ -155,7 +148,6 @@ func (rv *revised[T]) init(p *Problem[T], ws *Workspace[T]) {
 	rv.m, rv.n = m, n
 	rv.sinceRefac, rv.baseNNZ, rv.refacs, rv.failed = 0, 0, 0, false
 	rv.cursor, rv.bland, rv.streak, rv.iters = 0, false, 0, 0
-	rv.clampXB = true
 
 	// Count entries per column (structural from the sparse rows, one slack
 	// entry per inequality row), then fill via prefix sums. Duplicate row
@@ -432,10 +424,10 @@ func (rv *revised[T]) pivot(leave, enter int, alpha []T) {
 			continue
 		}
 		v := ops.MulAdd(rv.xB[i], nTheta, alpha[i])
-		if rv.clampXB && ops.Sign(v) < 0 {
+		if ops.Sign(v) < 0 {
 			// Degenerate negative dust from float cancellation, exactly as
-			// the dense tableau clamps its rhs column. During dual repair
-			// (clampXB off) negative basic values are the working state.
+			// the dense tableau clamps its rhs column: the primal simplex
+			// keeps xB ≥ 0 invariantly.
 			v = ops.Zero()
 		}
 		rv.xB[i] = v
@@ -543,7 +535,7 @@ func (rv *revised[T]) recomputeXB() {
 	rv.ftran(rv.work)
 	for i := range rv.xB {
 		v := rv.work[i]
-		if rv.clampXB && ops.Sign(v) < 0 {
+		if ops.Sign(v) < 0 {
 			v = ops.Zero()
 		}
 		rv.xB[i] = v

@@ -14,11 +14,11 @@ import (
 // Jobs are assigned slots: a JobID is a slot index, recycled through a
 // LIFO free-list when the job is removed, so the Jobs slice is bounded by
 // the maximum number of concurrently live jobs, not the stream length.
-// Slot IDs are stable for a job's lifetime — which is exactly what the
-// incremental solve session (offline.Session) needs to map its warm-start
-// basis across events — and a removed job's data stays in place as a
-// tombstone until its slot is reused, so whole-instance aggregates
-// (Delta, TotalWork) degrade gracefully rather than reading zeros.
+// Slot IDs are stable for a job's lifetime — policy state keyed by JobID,
+// such as Online-EGDF's priority ranks, stays valid across events — and a
+// removed job's data stays in place as a tombstone until its slot is
+// reused, so whole-instance aggregates (Delta, TotalWork) degrade
+// gracefully rather than reading zeros.
 //
 // Consumers must only surface live slots to schedulers (the serving loop
 // drives policies through a sim context whose Released mask covers exactly

@@ -74,13 +74,6 @@ type Workspace struct {
 	exact    *flow.Graph[rat.Rat]
 	rops     lp.RatOps
 	tiers    rat.TierStats
-
-	// sess is the persistent incremental System (1) solve session of the
-	// online path (lazily created by Session). It owns its own lp.Problem
-	// and lp.Workspace, separate from lpProb/lpws above, so one-shot exact
-	// planners interleaved on the same runner workspace cannot clobber the
-	// retained warm-start state.
-	sess *Session
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized lazily on
@@ -92,25 +85,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // this workspace, or nil when no exact solve has run yet. Reset between
 // runs for per-run numbers.
 func (ws *Workspace) TierStats() *rat.TierStats { return ws.rops.Tiers }
-
-// Session returns the workspace's persistent incremental solve session,
-// creating it on first use. The online exact path solves through it to
-// warm-start consecutive per-event System (1) programs.
-func (ws *Workspace) Session() *Session {
-	if ws.sess == nil {
-		ws.sess = NewSession()
-	}
-	return ws.sess
-}
-
-// SessionStats returns the warm/cold/fallback counters of the incremental
-// session, or nil when no session exists yet.
-func (ws *Workspace) SessionStats() *lp.IncrementalStats {
-	if ws.sess == nil {
-		return nil
-	}
-	return ws.sess.Stats()
-}
 
 // Problem returns the workspace's pooled Problem, emptied and bound to
 // inst. Callers append Tasks themselves (Bender98 builds its from-scratch

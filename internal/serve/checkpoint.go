@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"stretchsched/internal/model"
-	"stretchsched/internal/offline"
 	"stretchsched/internal/stats"
 )
 
@@ -27,9 +26,10 @@ type SlotCk struct {
 
 // Checkpoint is the daemon's complete deterministic state. Every float is
 // encoded by encoding/json's shortest-round-trip formatting, so decode
-// reproduces the exact bit patterns; the LP basis is deliberately absent
-// (see offline.SessionState). Restoring and replaying the remaining event
-// stream yields a byte-identical decision log to the uninterrupted run.
+// reproduces the exact bit patterns. Restoring and replaying the remaining
+// event stream yields a byte-identical decision log to the uninterrupted
+// run. Checkpoints of exact daemons once carried a Session object, the
+// slot table of a warm-started solve session; decoding ignores it.
 type Checkpoint struct {
 	Version int
 	Policy  string
@@ -38,8 +38,6 @@ type Checkpoint struct {
 
 	Slots []SlotCk
 	Free  []model.JobID
-
-	Session *offline.SessionState `json:",omitempty"`
 
 	Recents                []Completed
 	QStretch               []stats.P2State // p50, p90, p99
@@ -124,10 +122,6 @@ func (l *Loop) Checkpoint() (ck *Checkpoint, err error) {
 	}
 	ck.Free = free
 	ck.Recents = l.recents.Snapshot(nil)
-	if l.cfg.Workspace != nil && l.cfg.Workspace.SessionStats() != nil {
-		st := l.cfg.Workspace.Session().State()
-		ck.Session = &st
-	}
 	return ck, nil
 }
 
@@ -165,11 +159,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 }
 
 // Restore builds a loop from cfg resumed at ck: the stream slot table,
-// driver clock and per-slot remaining work, session identities, recents
-// ring, quantile estimators and counters are all rebuilt, then one
-// unlogged replan re-establishes rates and the policy's priority order —
-// recomputed cold, which the warm≡cold objective invariant makes
-// decision-identical to the interrupted daemon's in-memory state.
+// driver clock and per-slot remaining work, recents ring, quantile
+// estimators and counters are all rebuilt, then one unlogged replan
+// re-establishes rates and the policy's priority order.
 func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 	l, err := New(cfg)
 	if err != nil {
@@ -236,14 +228,6 @@ func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 	l.logLines = ck.LogRecords
 	for k, v := range ck.Rejected {
 		l.counters.Rejected[k] = v
-	}
-	if ck.Session != nil {
-		if cfg.Workspace == nil {
-			return nil, reject(CodeBadState, "checkpoint carries session state but the daemon has no workspace")
-		}
-		if err := cfg.Workspace.Session().Restore(*ck.Session); err != nil {
-			return nil, reject(CodeBadState, "%v", err)
-		}
 	}
 	// Re-establish rates and the policy's order without logging: this
 	// recomputation replaces in-memory state the interrupted daemon already

@@ -75,13 +75,6 @@ func (s Snapshot) Prometheus() string {
 		fmt.Fprintf(&b, "stretchd_solve_failures_total{scheduler=%q,step=\"stretch\"} %d\n", n, ss.StretchErrs)
 		fmt.Fprintf(&b, "stretchd_solve_failures_total{scheduler=%q,step=\"refine\"} %d\n", n, ss.RefineErrs)
 	}
-	if s.Solver.HasIncremental {
-		inc := s.Solver.Incremental
-		fmt.Fprintf(&b, "# HELP stretchd_solver_solves_total Incremental-session solves by kind.\n# TYPE stretchd_solver_solves_total counter\n")
-		fmt.Fprintf(&b, "stretchd_solver_solves_total{kind=\"warm\"} %d\n", inc.Warm)
-		fmt.Fprintf(&b, "stretchd_solver_solves_total{kind=\"cold\"} %d\n", inc.Cold)
-		fmt.Fprintf(&b, "stretchd_solver_solves_total{kind=\"fallback\"} %d\n", inc.Fallback)
-	}
 	if s.Solver.HasTiers {
 		ops := s.Solver.Tiers.Ops
 		fmt.Fprintf(&b, "# HELP stretchd_rational_ops_total Exact-arithmetic operations by representation tier.\n# TYPE stretchd_rational_ops_total counter\n")

@@ -117,6 +117,11 @@ func TestCheckpointRestoreDeterminism(t *testing.T) {
 	if err := loopA.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	if snap, err := loopA.Snapshot(); err != nil {
+		t.Fatal(err)
+	} else if st := snap.Solver; !st.HasTiers || st.Tiers.Total() == 0 {
+		t.Fatalf("exact serving counted no rational operations: %+v", st.Tiers)
+	}
 
 	// Interrupted run: first half, checkpoint, discard the loop.
 	var logB bytes.Buffer
