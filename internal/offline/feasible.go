@@ -102,9 +102,6 @@ func (p *Problem) network(f float64) *feasNet {
 // Work into (interval, machine) bins of capacity len(I_t)·speed_i,
 // restricted to admissible intervals and eligible machines.
 func (p *Problem) Feasible(f float64) bool {
-	if p.UsePushRelabel {
-		return p.feasiblePushRelabel(f)
-	}
 	_, ok := p.solveFlowBiased(f, false, false, nil)
 	return ok
 }
@@ -132,51 +129,6 @@ func (p *Problem) solveFlow(f float64, extract bool) (*Alloc, bool) {
 		slot = &p.ws.allocSolve
 	}
 	return p.solveFlowBiased(f, extract, false, slot)
-}
-
-// feasiblePushRelabel answers the same question as the Dinic path of
-// solveFlowBiased, with the alternative max-flow algorithm.
-func (p *Problem) feasiblePushRelabel(f float64) bool {
-	n := len(p.Tasks)
-	if n == 0 {
-		return true
-	}
-	net := p.network(f)
-	m := p.Inst.Platform.NumMachines()
-	nT := len(net.bounds) - 1
-	if nT <= 0 {
-		return false
-	}
-	src := 0
-	taskNode := func(k int) int { return 1 + k }
-	binNode := func(t, i int) int { return 1 + n + t*m + i }
-	sink := 1 + n + nT*m
-
-	total := p.totalWork()
-	g := p.prGraph(sink+1, 1e-12*(1+total))
-	for k := range p.Tasks {
-		g.AddEdge(src, taskNode(k), p.Tasks[k].Work)
-	}
-	binUsed, _ := p.binScratch(sink + 1)
-	for k := range p.Tasks {
-		for _, t := range net.admiss[k] {
-			for _, mid := range p.eligible(k) {
-				g.AddEdge(taskNode(k), binNode(t, int(mid)), p.Tasks[k].Work)
-				binUsed[binNode(t, int(mid))] = true
-			}
-		}
-	}
-	for t := 0; t < nT; t++ {
-		length := net.bounds[t+1] - net.bounds[t]
-		for i := 0; i < m; i++ {
-			if !binUsed[binNode(t, i)] {
-				continue
-			}
-			g.AddEdge(binNode(t, i), sink,
-				length*p.Inst.Platform.Machine(model.MachineID(i)).Speed)
-		}
-	}
-	return g.MaxFlow(src, sink) >= total*(1-1e-9)-1e-12
 }
 
 // binEdge records one task→bin arc for allocation extraction.

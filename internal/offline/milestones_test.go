@@ -121,35 +121,3 @@ func TestFeasibleAllocInfeasible(t *testing.T) {
 		t.Fatal("stretch 1 should be infeasible for two simultaneous jobs")
 	}
 }
-
-// TestPushRelabelOracleAgrees: the two feasibility oracles answer
-// identically across objective values, and produce the same optimum.
-func TestPushRelabelOracleAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(431))
-	for trial := 0; trial < 8; trial++ {
-		inst := randomInstance(t, rng, 1+rng.Intn(3), 1+rng.Intn(2), 3+rng.Intn(5))
-		dinic := FromInstance(inst)
-		pr := FromInstance(inst)
-		pr.UsePushRelabel = true
-		lo, hi := dinic.LowerBound(), dinic.UpperBound()
-		for step := 0; step <= 6; step++ {
-			f := lo + (hi-lo)*float64(step)/6
-			if a, b := dinic.Feasible(f), pr.Feasible(f); a != b {
-				t.Fatalf("trial %d: oracles disagree at F=%v: dinic %v, push-relabel %v",
-					trial, f, a, b)
-			}
-		}
-		var s Solver
-		sa, err := s.OptimalStretch(dinic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := s.OptimalStretch(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(sa.Stretch-sb.Stretch) > 1e-6*math.Max(1, sa.Stretch) {
-			t.Fatalf("trial %d: optima differ: %v vs %v", trial, sa.Stretch, sb.Stretch)
-		}
-	}
-}

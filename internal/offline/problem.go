@@ -44,13 +44,6 @@ type Problem struct {
 	Inst  *model.Instance
 	Tasks []Task
 
-	// UsePushRelabel switches the feasibility oracle from Dinic to the
-	// highest-label push-relabel solver. Results are identical; relative
-	// speed depends on the network shape (see the max-flow ablation
-	// benchmark). Allocation extraction always uses Dinic, whose witness
-	// bias is part of the non-optimised baseline's contract.
-	UsePushRelabel bool
-
 	// ws, when non-nil, supplies pooled buffers for every solver stage; see
 	// Workspace. Problems built by the package-level constructors or by hand
 	// have no workspace and allocate freshly, as before.

@@ -9,7 +9,7 @@ import (
 )
 
 // Workspace owns every buffer the planned scheduling path needs — the
-// pooled Problem, the interval structure, the Dinic/push-relabel/min-cost
+// pooled Problem, the interval structure, the Dinic, rational and min-cost
 // flow networks, the allocation witnesses of the solver and of System (2),
 // the realisation scratch and the output sim.Plan — and reuses them across
 // solves, mirroring what sim.Engine does for the simulation state one layer
@@ -35,7 +35,6 @@ type Workspace struct {
 
 	fops  lp.Float64Ops // flow tolerance; boxed once via pointer, mutated in place
 	dinic *flow.Graph[float64]
-	pr    *flow.PushRelabel
 	mc    *flow.MinCost
 
 	net feasNet // pooled interval/admissibility structure
@@ -95,7 +94,6 @@ func (ws *Workspace) Problem(inst *model.Instance) *Problem {
 	p.Inst = inst
 	p.ws = ws
 	p.Tasks = p.Tasks[:0]
-	p.UsePushRelabel = false
 	return p
 }
 
@@ -185,19 +183,6 @@ func (p *Problem) dinicGraph(n int, eps float64) *flow.Graph[float64] {
 		ws.dinic.Reset(&ws.fops, n)
 	}
 	return ws.dinic
-}
-
-// prGraph is dinicGraph for the push-relabel solver.
-func (p *Problem) prGraph(n int, eps float64) *flow.PushRelabel {
-	if p.ws == nil {
-		return flow.NewPushRelabel(n, eps)
-	}
-	if p.ws.pr == nil {
-		p.ws.pr = flow.NewPushRelabel(n, eps)
-	} else {
-		p.ws.pr.Reset(n, eps)
-	}
-	return p.ws.pr
 }
 
 // mcGraph is dinicGraph for the min-cost solver of System (2).
