@@ -173,7 +173,7 @@ func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, no
 	// Float dust can make degradations microscopically negative (the
 	// realised schedule beating the bisected optimum); clamp at zero as the
 	// paper's anomaly discussion suggests.
-	return math.Max(optDeg, -100), math.Max(nonDeg, -100), gain, false, nil
+	return math.Max(optDeg, 0), math.Max(nonDeg, 0), gain, false, nil
 }
 
 // RenderFigure3 formats the series as an aligned text table (one row per
