@@ -57,7 +57,7 @@ func main() {
 		runs        = flag.Int("runs", 3, "instances per configuration (paper: 200)")
 		seed        = flag.Int64("seed", 1, "base random seed")
 		target      = flag.Int("target", 30, "expected jobs per instance")
-		horizon     = flag.Float64("horizon", 0, "fixed arrival window in seconds (0: use -target)")
+		horizon     = flag.Float64("horizon", 0, "fixed arrival window in seconds of the paper grid (-table N, -tables all); 0: use -target")
 		workers     = flag.Int("workers", 0, "parallel workers (0: GOMAXPROCS); results are identical for any value")
 		csvOut      = flag.String("csv", "", "also dump raw per-instance metrics to this CSV file")
 		progress    = flag.Bool("progress", false, "report grid progress on stderr")
@@ -70,6 +70,15 @@ func main() {
 		verifyExact = flag.Bool("verifyexact", false, "run the exact-verification lane: Offline-Exact vs Offline and the online heuristics on a deterministic 10/20-site grid subsample, exiting nonzero if the §5.3 anomaly reappears (honours -runs, -seed, -target, -workers, -progress)")
 	)
 	flag.Parse()
+
+	// Only the paper grid draws arrivals over a fixed window; every other
+	// mode would silently ignore -horizon. The test follows the dispatch
+	// order of the switch below.
+	paperGrid := !*verifyExact && *figure == "" && (*tables == "all" || *tables == "")
+	if *horizon != 0 && !paperGrid {
+		fmt.Fprintln(os.Stderr, "experiments: -horizon applies only to the paper grid (-table N or -tables all)")
+		os.Exit(2)
+	}
 
 	run := runConfig{
 		runs: *runs, seed: *seed, target: *target, horizon: *horizon, workers: *workers,
