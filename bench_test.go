@@ -380,7 +380,7 @@ func benchServeLoop(b *testing.B, policy string, exact bool, cfg workload.Config
 // accounting. The sustained sub-bench replays ≥10⁴ events under a cheap
 // list policy, measuring the loop machinery itself; the egdf sub-benches
 // replay a paper-scale GriPPS day under the LP-based online policy (float
-// and exact-incremental), where the per-event re-optimisation dominates.
+// and exact step-2 solves), where the per-event re-optimisation dominates.
 func BenchmarkServeEventLoop(b *testing.B) {
 	gripps := workload.Config{Sites: 6, Databanks: 12, Availability: 0.5, Density: 0.8}
 	sustained := gripps
