@@ -90,7 +90,7 @@ func runDaemon(args []string) error {
 	fs := flag.NewFlagSet("stretchd", flag.ExitOnError)
 	addr := fs.String("addr", ":9130", "HTTP listen address")
 	policy := fs.String("policy", "Online-EGDF", "serving policy (must be a list policy)")
-	exact := fs.Bool("exact", false, "exact rational step-2 solves (incremental warm-start session)")
+	exact := fs.Bool("exact", false, "exact rational step-2 solves (parametric cuts certified by a rational max-flow)")
 	deadline := fs.Duration("deadline", 2*time.Second, "per-request admission deadline")
 	recents := fs.Int("recents", 1024, "completed-job ring capacity")
 	declog := fs.String("declog", "", "checksum-framed decision log path (empty = discard; verify with 'stretchd logcheck')")

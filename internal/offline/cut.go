@@ -272,10 +272,11 @@ func (c *cutNet) fillRat(g *flow.Graph[rat.Rat], x rat.Rat, ops lp.RatOps) {
 	}
 }
 
-// root returns the root (W − a_C)/b_C of the cut whose source side is side,
-// with capacity a_C + b_C·F summed exactly over its crossing edges, and
-// false when b_C ≤ 0: then no F above the current one can lift the cut to
-// W.
+// root returns the root (W − a_C)/b_C of the cut whose source side is side
+// (the sink always counts as outside, so any side holding the source is a
+// cut), with capacity a_C + b_C·F summed exactly over its crossing edges,
+// and false when b_C ≤ 0: then no F above the current one can lift the cut
+// to W.
 func (c *cutNet) root(side []bool, ops lp.RatOps) (rat.Rat, bool) {
 	var a, b rat.Rat
 	for k, w := range c.work {

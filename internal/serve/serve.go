@@ -9,11 +9,10 @@
 // event instants, completions are committed at exactly the predicted
 // instants (ties by lowest slot), and every decision is appended to a
 // decision log whose byte content a checkpoint-restored daemon reproduces
-// exactly (see Checkpoint). Determinism rests on the PR 7 invariant that
-// warm-started incremental solves are bit-identical in objective to cold
-// solves: the decision-relevant output of the per-event re-optimisation is
-// the optimal stretch (the LP objective), so a restored session re-solving
-// cold takes identical decisions without the basis ever being encoded.
+// exactly (see Checkpoint). The per-event re-optimisation keeps no solver
+// state across events, and its decision-relevant output is the optimal
+// stretch, a function of the live jobs alone, so a restored daemon
+// re-solving from the checkpointed jobs takes identical decisions.
 package serve
 
 import (
