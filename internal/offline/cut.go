@@ -43,7 +43,6 @@ type cutNet struct {
 }
 
 func (c *cutNet) binNode(bin int) int       { return 1 + c.n + bin }
-func (c *cutNet) tripleEdge(j int) int      { return 2 * (c.n + j) }
 func (c *cutNet) tripleBin(tr exTriple) int { return tr.t*c.m + tr.i }
 
 // refineCut pins S* inside the bracket [flo, fhi] by discrete Newton
@@ -109,7 +108,7 @@ func (p *Problem) refineCut(flo, fhi float64) (*Solution, error) {
 		alloc.Bounds = append(alloc.Bounds, b.Eval(x).Float())
 	}
 	for j, tr := range c.triples {
-		if w := g.EdgeFlow(c.tripleEdge(j)); w.Sign() > 0 {
+		if w := g.EdgeFlow(2 * (c.n + j)); w.Sign() > 0 { // triple j's edge id
 			alloc.Work[tr.t][tr.i][tr.k] += w.Float()
 		}
 	}
@@ -165,7 +164,10 @@ func (c *cutNet) build(p *Problem, bounds []rat.Affine, mid, flo, fhi float64, o
 		c.work = append(c.work, w)
 		c.total = ops.Add(c.total, w)
 	}
-	c.side = grow(c.side, c.sink+1)
+	if cap(c.side) < c.sink+1 {
+		c.side = make([]bool, c.sink+1)
+	}
+	c.side = c.side[:c.sink+1]
 	used, _ := p.binScratch(c.sink + 1)
 	for _, tr := range c.triples {
 		used[c.binNode(c.tripleBin(tr))] = true
@@ -325,13 +327,4 @@ func (p *Problem) ratGraph(n int, ops lp.RatOps) *flow.Graph[rat.Rat] {
 		p.ws.exact.Reset(&p.ws.rops, n)
 	}
 	return p.ws.exact
-}
-
-// grow returns s resized to length n, reusing its backing array when large
-// enough. Contents are unspecified.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
