@@ -33,6 +33,8 @@ type exTriple struct{ t, i, k int }
 // float and rational graphs of one refinement share them.
 type cutNet struct {
 	n, m, sink int
+	bounds     []rat.Affine // epochal boundaries as functions of F
+	lo, hi     rat.Rat      // System (1)'s range for F (boxF)
 	triples    []exTriple
 	bins       []int        // used bin index t·m+i, ascending
 	lines      []rat.Affine // per used bin: speed_i · len_t(F)
@@ -55,38 +57,55 @@ func (c *cutNet) tripleBin(tr exTriple) int { return tr.t*c.m + tr.i }
 // the simplex (refineExact, the tests' oracle).
 //
 // A float phase walks the roots from flo with Dinic until the flow
-// saturates or the root stops rising. The exact phase takes the last cut's
-// root in rationals, clamps it into System (1)'s range for F (boxF), and
-// certifies it with one rational max-flow; on a shortfall the exact
-// residual cut has a strictly larger root and the loop repeats from there.
+// saturates or the root stops rising. The exact phase (certify) takes the
+// last cut's root in rationals, raised into System (1)'s range for F
+// (boxF), and certifies it with one rational max-flow; on a shortfall the
+// exact residual cut has a strictly larger root and the loop repeats from
+// there.
 func (p *Problem) refineCut(flo, fhi float64) (*Solution, error) {
-	mid := flo + (fhi-flo)/2
-	bounds := p.intervalAffines(mid)
-	nT := len(bounds) - 1
-	if nT <= 0 {
-		return nil, fmt.Errorf("offline: empty interval structure")
-	}
-	c, ops := p.cutScratch()
-	if err := c.build(p, bounds, mid, flo, fhi, ops); err != nil {
+	c, ops, err := p.cutNetwork(flo, fhi)
+	if err != nil {
 		return nil, err
 	}
-	lo, hi, ok := c.boxF(flo, fhi, ops)
-	if !ok {
-		return nil, errSystem1Infeasible
-	}
-
-	x := lo
+	x := c.lo
 	if c.floatPhase(p, flo, fhi) {
 		if r, ok := c.root(c.side, ops); ok && r.Cmp(x) > 0 {
 			x = r
 		}
 	}
+	return p.certify(c, x, ops)
+}
+
+// cutNetwork lays out System (1)'s network on the bracket [flo, fhi] and
+// computes its range for F.
+func (p *Problem) cutNetwork(flo, fhi float64) (*cutNet, lp.RatOps, error) {
+	mid := flo + (fhi-flo)/2
+	bounds := p.intervalAffines(mid)
+	if len(bounds) < 2 {
+		return nil, lp.RatOps{}, fmt.Errorf("offline: empty interval structure")
+	}
+	c, ops := p.cutScratch()
+	if err := c.build(p, bounds, mid, flo, fhi, ops); err != nil {
+		return nil, ops, err
+	}
+	var ok bool
+	if c.lo, c.hi, ok = c.boxF(flo, fhi, ops); !ok {
+		return nil, ops, errSystem1Infeasible
+	}
+	return c, ops, nil
+}
+
+// certify is the exact phase from a lower bound x ≥ c.lo on S*: it runs
+// the rational max-flow at x and, on a shortfall, moves x to the root of
+// the exact residual cut, until the flow ships W. The certified x is S*,
+// and the certificate's edge flows are the witness allocation.
+func (p *Problem) certify(c *cutNet, x rat.Rat, ops lp.RatOps) (*Solution, error) {
 	var g *flow.Graph[rat.Rat]
 	for step := 0; ; step++ {
 		if step == maxCutSteps {
 			return nil, ErrCutSteps
 		}
-		if x.Cmp(hi) > 0 {
+		if x.Cmp(c.hi) > 0 {
 			return nil, errSystem1Infeasible
 		}
 		g = p.ratGraph(c.sink+1, ops)
@@ -101,10 +120,9 @@ func (p *Problem) refineCut(flo, fhi float64) (*Solution, error) {
 		x = r
 	}
 
-	m, n := c.m, c.n
 	alloc := p.allocSlot(allocSolveSlot(p))
-	alloc.prepare(p, x.Float(), nil, nT, m, n)
-	for _, b := range bounds {
+	alloc.prepare(p, x.Float(), nil, len(c.bounds)-1, c.m, c.n)
+	for _, b := range c.bounds {
 		alloc.Bounds = append(alloc.Bounds, b.Eval(x).Float())
 	}
 	for j, tr := range c.triples {
@@ -151,6 +169,7 @@ func (p *Problem) exactTriples(bounds []rat.Affine, mid, flo, fhi float64, out [
 // build lays out the network of p on the interval structure bounds.
 func (c *cutNet) build(p *Problem, bounds []rat.Affine, mid, flo, fhi float64, ops lp.RatOps) error {
 	nT := len(bounds) - 1
+	c.bounds = bounds
 	c.n, c.m = len(p.Tasks), p.Inst.Platform.NumMachines()
 	c.sink = 1 + c.n + nT*c.m
 	var err error

@@ -11,10 +11,12 @@ import (
 
 // cutStream replays one arrival/completion/remaining-work event stream
 // over inst, the shape of the online re-optimisations, and solves every
-// event's problem twice: with the production parametric cut on a pooled
-// workspace, and with the System (1) oracle on the rational simplex. The
-// two must agree on the error status and, when both succeed, on S* as a
-// rational; the cut's witness must be a valid allocation. With ties set
+// event's problem three times: with the production parametric cut on a
+// pooled workspace, with its exact phase alone from the floor of System
+// (1)'s range (exactPhaseOnly), and with the System (1) oracle on the
+// rational simplex. All must agree on the error status and, when they
+// succeed, on S* as a rational; the cut's witnesses must be valid
+// allocations. With ties set
 // the clock and the work updates stay on integers, so releases collide
 // and brackets open on milestones with zero-length intervals.
 func cutStream(t *testing.T, inst *model.Instance, ops []byte, ties bool) {
@@ -76,13 +78,18 @@ func cutStream(t *testing.T, inst *model.Instance, ops []byte, ties bool) {
 		}
 		fresh := &Problem{Inst: inst, Tasks: slices.Clone(pooled.Tasks)}
 		want, werr := OracleStretch(fresh, false)
+		slow, serr := exactPhaseOnly(fresh)
 		got, gerr := s.OptimalStretch(pooled)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("event %d: oracle err %v, cut err %v", events, werr, gerr)
+		if (werr == nil) != (gerr == nil) || (werr == nil) != (serr == nil) {
+			t.Fatalf("event %d: oracle err %v, cut err %v, exact-phase err %v", events, werr, gerr, serr)
 		}
 		if werr != nil {
 			continue
 		}
+		if slow.ExactStretch.Cmp(want.ExactStretch) != 0 {
+			t.Fatalf("event %d: exact phase alone S* %v, oracle %v", events, slow.ExactStretch, want.ExactStretch)
+		}
+		checkAlloc(t, slow.Alloc)
 		if got.ExactStretch.Cmp(want.ExactStretch) != 0 {
 			t.Fatalf("event %d: cut S* %v, oracle %v", events, got.ExactStretch, want.ExactStretch)
 		}
@@ -91,6 +98,22 @@ func cutStream(t *testing.T, inst *model.Instance, ops []byte, ties bool) {
 		}
 		checkAlloc(t, got.Alloc)
 	}
+}
+
+// exactPhaseOnly is Exact-mode OptimalStretch without the float phase:
+// the exact phase starts at the floor of System (1)'s range and must climb
+// to S* through every cut on the way, which exercises its shortfall steps.
+func exactPhaseOnly(p *Problem) (*Solution, error) {
+	s := Solver{Exact: true}
+	sol, flo, fhi, err := s.bracket(p)
+	if sol != nil || err != nil {
+		return sol, err
+	}
+	c, ops, err := p.cutNetwork(flo, fhi)
+	if err != nil {
+		return nil, err
+	}
+	return p.certify(c, c.lo, ops)
 }
 
 // FuzzCutDifferential replays random event streams through the parametric
@@ -105,6 +128,9 @@ func FuzzCutDifferential(f *testing.F) {
 	f.Add(int64(2), true, []byte{0, 0, 0, 0, 1, 1, 1, 1})
 	f.Add(int64(7), true, []byte{0, 0, 0, 2, 2, 0, 0, 2, 1, 0})
 	f.Add(int64(42), true, []byte{0, 0, 5, 7, 4, 3, 9, 8, 6, 1, 0, 2})
+	// Both refinements of this stream open their bracket on a milestone at
+	// which one interval has zero length.
+	f.Add(int64(546), true, []byte{196, 154, 87, 207, 20, 97, 212, 223, 115, 199, 45, 32})
 	f.Fuzz(func(t *testing.T, seed int64, ties bool, ops []byte) {
 		if len(ops) > 24 {
 			ops = ops[:24]
