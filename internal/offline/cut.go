@@ -52,28 +52,47 @@ func (c *cutNet) tripleBin(tr exTriple) int { return tr.t*c.m + tr.i }
 // 1989). Inside the bracket the epochal order is fixed, so every cut C of
 // the network has capacity a_C + b_C·F. Below the root (W − a_C)/b_C of a
 // cut with b_C > 0 that cut holds the max-flow under the demand W, so each
-// root is a lower bound on S*; a root at which the exact max-flow ships W
-// is feasible, hence S* itself — the same rational System (1) returns on
-// the simplex (refineExact, the tests' oracle).
+// root is a lower bound on S*, and a root at which the max-flow ships W is
+// S* itself.
 //
-// A float phase walks the roots from flo with Dinic until the flow
-// saturates or the root stops rising. The exact phase (certify) takes the
-// last cut's root in rationals, raised into System (1)'s range for F
-// (boxF), and certifies it with one rational max-flow; on a shortfall the
-// exact residual cut has a strictly larger root and the loop repeats from
-// there.
-func (p *Problem) refineCut(flo, fhi float64) (*Solution, error) {
+// Both modes run the float phase: Dinic walks the roots from flo until the
+// flow saturates or the root stops rising. In float mode S* is the F at
+// which it saturated, and the witness is the feasibility flow at that F.
+// When it never saturates at or below fhi, S* is fhi: the order is frozen
+// on [flo, fhi), so no F below fhi ships W, and bracket proved fhi
+// feasible.
+//
+// In exact mode the certificate (certify) takes the last cut's root in
+// rationals, raised into System (1)'s range for F (boxF), and checks it
+// with one rational max-flow; on a shortfall the exact residual cut has a
+// strictly larger root and the loop repeats from there. The result is the
+// rational System (1) returns on the simplex (refineExact, the tests'
+// oracle).
+func (p *Problem) refineCut(flo, fhi float64, exact bool) (*Solution, error) {
 	c, ops, err := p.cutNetwork(flo, fhi)
 	if err != nil {
 		return nil, err
 	}
-	x := c.lo
-	if c.floatPhase(p, flo, fhi) {
-		if r, ok := c.root(c.side, ops); ok && r.Cmp(x) > 0 {
-			x = r
+	f, saturated := c.floatPhase(p, flo, fhi)
+	if exact {
+		x := c.lo
+		if f > flo { // c.side holds a cut whose root is f
+			if r, ok := c.root(c.side, ops); ok && r.Cmp(x) > 0 {
+				x = r
+			}
 		}
+		return p.certify(c, x, ops)
 	}
-	return p.certify(c, x, ops)
+	if !saturated {
+		f = fhi
+	}
+	alloc, ok := p.solveFlow(f, true)
+	if !ok {
+		return nil, fmt.Errorf("offline: allocation extraction failed at F=%v", f)
+	}
+	sol := p.solution()
+	*sol = Solution{Stretch: f, Alloc: alloc}
+	return sol, nil
 }
 
 // cutNetwork lays out System (1)'s network on the bracket [flo, fhi] and
@@ -237,11 +256,13 @@ func (c *cutNet) boxF(flo, fhi float64, ops lp.RatOps) (lo, hi rat.Rat, ok bool)
 
 // floatPhase runs the Newton iteration in float64 from flo: max-flow at F,
 // the residual-reachable cut, then F moves to that cut's root, until the
-// flow saturates or the root stops rising. It reports whether it found a
-// cut with positive slope, whose source side it leaves in c.side.
-func (c *cutNet) floatPhase(p *Problem, flo, fhi float64) bool {
+// flow saturates or the root stops rising or passes fhi. It returns the F
+// it stopped at and whether the flow saturated there. Whenever F > flo,
+// c.side holds the source side of the last cut with positive slope, whose
+// root F is.
+func (c *cutNet) floatPhase(p *Problem, flo, fhi float64) (f float64, saturated bool) {
 	total := p.totalWork()
-	f, found := flo, false
+	f = flo
 	for step := 0; step < maxCutSteps && f <= fhi; step++ {
 		g := p.dinicGraph(c.sink+1, 1e-12*(1+total))
 		for k := range p.Tasks {
@@ -256,7 +277,7 @@ func (c *cutNet) floatPhase(p *Problem, flo, fhi float64) bool {
 		}
 		got := g.MaxFlow(0, c.sink)
 		if got >= total*(1-1e-9)-1e-12 {
-			break
+			return f, true
 		}
 		side := g.MinCutReachable(0)
 		slope := 0.0
@@ -273,9 +294,9 @@ func (c *cutNet) floatPhase(p *Problem, flo, fhi float64) bool {
 			break
 		}
 		copy(c.side, side)
-		f, found = next, true
+		f = next
 	}
-	return found
+	return f, false
 }
 
 // fillRat adds the network's edges to g with exact capacities at F = x,

@@ -13,14 +13,11 @@ import (
 
 // Solver configures the optimal max-stretch computation.
 type Solver struct {
-	// Exact switches the final refinement from float64 bisection to an
-	// exact parametric-cut search certified by a rational max-flow
-	// (refineCut), which returns the optimum of System (1) as a rational
-	// and so eliminates the precision anomaly of §5.3.
+	// Exact certifies the parametric-cut refinement (refineCut) with a
+	// rational max-flow, so S* is returned as the rational optimum of
+	// System (1); this eliminates the precision anomaly of §5.3. Without
+	// it S* is the float64 Newton phase's saturation point.
 	Exact bool
-	// RelTol is the relative width at which float bisection stops
-	// (default 1e-10).
-	RelTol float64
 }
 
 // Solution is an optimal max-stretch together with a witness allocation.
@@ -38,37 +35,14 @@ type Solution struct {
 // The search follows §4.3.1: feasibility of a target stretch F is monotone
 // in F, so a binary search over the sorted milestones brackets the optimum
 // inside one milestone interval, where the epochal-time ordering is fixed
-// and the optimum can be pinned down by bisection (or exactly by LP).
+// and the optimum is pinned down by Newton steps on parametric cuts
+// (refineCut).
 func (s *Solver) OptimalStretch(p *Problem) (*Solution, error) {
 	sol, flo, fhi, err := s.bracket(p)
 	if sol != nil || err != nil {
 		return sol, err
 	}
-
-	if s.Exact {
-		return p.refineCut(flo, fhi)
-	}
-
-	// Float bisection inside the bracketing interval.
-	relTol := s.RelTol
-	if relTol <= 0 {
-		relTol = 1e-10
-	}
-	for fhi-flo > relTol*math.Max(1, fhi) {
-		mid := flo + (fhi-flo)/2
-		if p.Feasible(mid) {
-			fhi = mid
-		} else {
-			flo = mid
-		}
-	}
-	alloc, ok := p.solveFlow(fhi, true)
-	if !ok {
-		return nil, fmt.Errorf("offline: allocation extraction failed at F=%v", fhi)
-	}
-	sol = p.solution()
-	*sol = Solution{Stretch: fhi, Alloc: alloc}
-	return sol, nil
+	return p.refineCut(flo, fhi, s.Exact)
 }
 
 // bracket runs the milestone binary search of §4.3.1 up to (but not

@@ -72,20 +72,15 @@ type Heuristic struct {
 // called mid-run.
 func (h *Heuristic) SetWorkspace(ws *offline.Workspace) { h.ws = ws }
 
-// onlineRelTol is the bisection tolerance of the per-arrival step-2 solves.
-// It is looser than the offline default: the plan is recomputed at the next
-// arrival anyway, and each decimal digit costs one feasibility flow.
-const onlineRelTol = 1e-7
-
 // New returns an optimised online heuristic of the given variant.
 func New(v Variant) *Heuristic {
-	return &Heuristic{Variant: v, Optimized: true, Solver: offline.Solver{RelTol: onlineRelTol}}
+	return &Heuristic{Variant: v, Optimized: true}
 }
 
 // NewNonOptimized returns the Figure-3 baseline: best-achievable max-stretch
 // deadlines, no sum-stretch refinement.
 func NewNonOptimized() *Heuristic {
-	return &Heuristic{Variant: Plain, Optimized: false, Solver: offline.Solver{RelTol: onlineRelTol}}
+	return &Heuristic{Variant: Plain, Optimized: false}
 }
 
 // Name implements sim.Planner.
@@ -203,7 +198,7 @@ type EGDF struct {
 }
 
 // NewEGDF returns an Online-EGDF policy.
-func NewEGDF() *EGDF { return &EGDF{Solver: offline.Solver{RelTol: onlineRelTol}} }
+func NewEGDF() *EGDF { return &EGDF{} }
 
 // SetWorkspace attaches a pooled solver workspace for the per-arrival
 // re-optimisations. Must not be called mid-run.
