@@ -585,15 +585,17 @@ func BenchmarkMinCostFlow(b *testing.B) {
 
 // --- ablation benchmarks (design choices from DESIGN.md) ---
 
-// BenchmarkAblationExactRefinement compares the float bisection refinement
-// against the exact parametric-cut refinement on the same instance — the
-// price of eliminating the §5.3 precision anomaly. The System (1) linear
-// programs the cut replaced are timed by offline's BenchmarkExactOracle.
+// BenchmarkAblationExactRefinement compares the two modes of the
+// parametric-cut refinement on the same instance: the float Newton phase
+// alone (float-cut) and that phase plus the rational certificate
+// (exact-cut) — the price of eliminating the §5.3 precision anomaly. The
+// System (1) linear programs the cut replaced are timed by offline's
+// BenchmarkExactOracle.
 func BenchmarkAblationExactRefinement(b *testing.B) {
 	inst := benchInstance(b, 8)
 	prob := offline.FromInstance(inst)
 	for _, exact := range []bool{false, true} {
-		name := "bisection"
+		name := "float-cut"
 		if exact {
 			name = "exact-cut"
 		}

@@ -171,7 +171,7 @@ func fig3One(runner *core.Runner, opts Fig3Options, di, li, run int) (optDeg, no
 		gain = 100 * (nonSched.SumStretch(inst)/optSum - 1)
 	}
 	// Float dust can make degradations microscopically negative (the
-	// realised schedule beating the bisected optimum); clamp at zero as the
+	// realised schedule beating the float optimum); clamp at zero as the
 	// paper's anomaly discussion suggests.
 	return math.Max(optDeg, 0), math.Max(nonDeg, 0), gain, false, nil
 }

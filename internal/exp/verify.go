@@ -39,9 +39,10 @@ type VerifyExactOptions struct {
 	// violation (default 1e-6): Offline-Exact's realised max-stretch must
 	// not exceed (1+Tol)·competitor for any competitor. The slack absorbs
 	// float dust in the simulator's realised metrics and the float
-	// bisection's oracle tolerance (observed ~1e-9 relative); the anomaly
-	// proper mis-orders milestones and shows up orders of magnitude above
-	// it.
+	// refinement's saturation tolerance (float Offline matched
+	// Offline-Exact to 9 digits on the -runs 1 -target 8 sample); the
+	// anomaly proper mis-orders milestones and shows up orders of
+	// magnitude above it.
 	Tol float64
 	// Progress, when non-nil, is forwarded to the grid runner.
 	Progress func(done, total int)
@@ -67,7 +68,7 @@ func (o VerifyExactOptions) withDefaults() VerifyExactOptions {
 }
 
 // verifyExactCompetitors are the schedulers Offline-Exact must not lose to:
-// the float offline solver (same algorithm, bisection refinement) and the
+// the float offline solver (same algorithm, float Newton refinement) and the
 // online heuristics the paper reports winning against it in §5.3.
 var verifyExactCompetitors = []string{"Offline", "Online", "Online-EDF", "SWRPT"}
 

@@ -17,8 +17,9 @@
 //
 // All three solvers support Reset, which clears the network while keeping
 // every backing buffer, so a caller that solves many networks of similar
-// shape (the feasibility bisection of the offline solver, the per-arrival
-// re-plans of the online heuristics) performs no steady-state allocation.
+// shape (the milestone search and Newton steps of the offline solver, the
+// per-arrival re-plans of the online heuristics) performs no steady-state
+// allocation.
 // See DESIGN.md, "Planner workspaces".
 package flow
 

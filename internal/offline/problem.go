@@ -7,9 +7,11 @@
 //
 // The paper solves both the feasibility test and the refinement with linear
 // programs (System (1)). Here the feasibility test is a max-flow
-// (transportation) computation, the refinement is either a float64
-// bisection (fast path) or System (1) itself on exact rationals (Exact
-// mode), which removes the floating-point anomaly reported in §5.3.
+// (transportation) computation, and the refinement is discrete Newton
+// iteration on parametric min cuts of that network: in float64 by default,
+// and certified by one exact rational max-flow in Exact mode, which
+// returns System (1)'s rational optimum and so removes the floating-point
+// anomaly reported in §5.3.
 //
 // The same machinery serves the online heuristics: they repeatedly solve
 // the "best achievable max-stretch given past decisions" problem, which is
