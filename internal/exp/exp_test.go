@@ -178,13 +178,12 @@ func TestFigure3AccountsEverySample(t *testing.T) {
 }
 
 // TestFigure3LowDensityCompletes pins a low-density Figure 3 sample on
-// which Online, Online-EDF and Online-NonOpt must finish every job. Planned
-// at a step-2 stretch up to 1e-7 above System (1)'s optimum, as float
-// bisection returned it, job 15 keeps 5.7e-6 MB of work whose replanned
-// slices (9.5e-8 s) end inside sim.executePlan's 1e-9·(1+t) end-of-slice
-// window, so the runs fail with "final plan leaves 1 jobs unfinished".
-// That window is unchanged (ROADMAP item 6); the Newton refinement's S*
-// leaves no such residue here.
+// which Online, Online-EDF and Online-NonOpt must finish every job. With
+// the step-2 stretch up to 1e-7 above System (1)'s optimum, job 15 keeps
+// 5.7e-6 MB of work whose replanned slices (9.5e-8 s) end inside
+// sim.executePlan's 1e-9·(1+t) end-of-slice window, and the runs fail with
+// "final plan leaves 1 jobs unfinished" (ROADMAP item 6). At the optimum
+// no such residue is left.
 func TestFigure3LowDensityCompletes(t *testing.T) {
 	inst, err := workload.Config{
 		Sites: 3, Databanks: 3, Availability: 0.6, Density: 0.025,
