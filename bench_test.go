@@ -744,10 +744,10 @@ func BenchmarkAblationEngineReuse(b *testing.B) {
 }
 
 // BenchmarkAblationPlannerWorkspace contrasts a fresh planner + engine per
-// run (every LP/flow/plan buffer reallocated, as PR 1 left the planned path)
-// against a reused engine + offline.Workspace pair — the planned-path
-// analogue of BenchmarkAblationEngineReuse and the cost justification for
-// the workspace layer in DESIGN.md.
+// run (a new engine, and a new private workspace that pools only within
+// the run's own solves) against a reused engine + offline.Workspace pair —
+// the planned-path analogue of BenchmarkAblationEngineReuse and the cost
+// justification for the workspace layer in DESIGN.md.
 func BenchmarkAblationPlannerWorkspace(b *testing.B) {
 	inst := benchInstance(b, 25)
 	for _, variant := range []struct {

@@ -63,11 +63,11 @@ type buildCfg struct {
 	ws *offline.Workspace
 }
 
-// WithWorkspace attaches a pooled solver workspace at construction time:
-// planners and policies that can draw their problem/flow/LP buffers from an
+// WithWorkspace attaches a shared solver workspace at construction time:
+// planners and policies that draw their problem/flow/plan buffers from an
 // offline.Workspace are returned already wired to ws. A nil workspace is
-// valid and selects the fresh-buffers-per-solve paths, exactly like
-// omitting the option.
+// valid and, exactly like omitting the option, gives each such scheduler a
+// private workspace at its first run.
 func WithWorkspace(ws *offline.Workspace) Option {
 	return func(c *buildCfg) { c.ws = ws }
 }
@@ -237,8 +237,8 @@ func registerDirect(name string, run func(*model.Instance) (*model.Schedule, err
 func init() {
 	// Workspace wiring happens here, in the factories, on the concrete
 	// types: each registration states how its scheduler is assembled, and
-	// SetWorkspace(nil) is the documented no-pooling mode of every planner
-	// and policy that takes one.
+	// SetWorkspace(nil) gives every planner and policy that takes one a
+	// private workspace.
 	registerPlanner("Offline", func(ws *offline.Workspace) sim.Planner {
 		pl := offline.NewPlanner()
 		pl.SetWorkspace(ws)

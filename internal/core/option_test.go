@@ -5,6 +5,7 @@ import (
 
 	"stretchsched/internal/offline"
 	"stretchsched/internal/online"
+	"stretchsched/internal/sim"
 )
 
 // TestNewOptionConstructor exercises the Option-based constructor: the
@@ -80,5 +81,42 @@ func TestRunnerStatsUnified(t *testing.T) {
 	r.ResetStats()
 	if after := r.Stats(); after.Tiers.Total() != 0 {
 		t.Fatalf("ResetStats left tier ops: %d", after.Tiers.Total())
+	}
+}
+
+// TestUnwiredSchedulersSteadyStateAllocs: a scheduler built with no
+// workspace wired (New(name) without WithWorkspace) solves on a private
+// workspace it creates at its first run, so replaying it through one
+// engine allocates nothing in steady state — every float LP-based planner
+// and policy alike.
+func TestUnwiredSchedulersSteadyStateAllocs(t *testing.T) {
+	inst := testInstance(t, 91, 1.0)
+	eng := sim.NewEngine()
+	for _, name := range []string{
+		"Offline", "Offline-Refined", "Online", "Online-EDF", "Online-NonOpt", "Online-EGDF", "Bender98",
+	} {
+		s, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			var err error
+			switch b := s.(type) {
+			case PlannerBacked:
+				_, err = eng.RunPlanned(inst, b.Planner())
+			case PolicyBacked:
+				_, err = eng.RunList(inst, b.Policy())
+			default:
+				t.Fatalf("%s is neither planner- nor policy-backed", name)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Fatalf("%s without a wired workspace allocates %.0f objects/op in steady state, want 0",
+				name, allocs)
+		}
 	}
 }

@@ -18,8 +18,7 @@ const SwallowOkDirective = "//stretch:swallow-ok"
 // silently truncated nightly merge).
 var noswallowWatch = map[string]map[string]bool{
 	"stretchsched/internal/lp": {
-		"Solve": true, "SolveWith": true,
-		"SolveRevised": true, "SolveRevisedWith": true,
+		"Solve": true, "SolveRevised": true,
 	},
 	"stretchsched/internal/offline": {
 		"Plan": true, "Refine": true, "Optimal": true, "OptimalStretch": true,

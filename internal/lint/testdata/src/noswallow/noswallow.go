@@ -18,8 +18,8 @@ func bareCall(p *lp.Problem[float64]) {
 	p.Solve() // want "error result of lp.Solve is discarded (bare call statement)"
 }
 
-func bareRevised(p *lp.Problem[float64], ws *lp.Workspace[float64]) {
-	p.SolveRevisedWith(ws) // want "error result of lp.SolveRevisedWith is discarded"
+func bareRevised(p *lp.Problem[float64]) {
+	p.SolveRevised() // want "error result of lp.SolveRevised is discarded"
 }
 
 func goStmt(p *lp.Problem[float64]) {

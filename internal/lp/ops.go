@@ -7,10 +7,10 @@
 // so this package provides them from scratch, generic over the scalar
 // field: a fast float64 backend with tolerances for simulation, and an
 // exact rational backend that eliminates the floating-point milestone
-// anomaly the paper reports in §5.3. The dense tableau (Solve/SolveWith)
-// is the float-path solver and differential oracle; the revised simplex
-// (SolveRevised/SolveRevisedWith, see revised.go) is the exact backend's
-// production solver for the paper-scale sparse programs.
+// anomaly the paper reports in §5.3. The dense tableau (Solve) and the
+// sparse revised simplex (SolveRevised, see revised.go) are each other's
+// differential oracles; on exact rationals they solve System (1) as the
+// oracle of the offline solver's parametric cut (offline.OracleStretch).
 package lp
 
 import "stretchsched/internal/rat"
@@ -95,8 +95,9 @@ type RatOps struct {
 	// counters for every arithmetic op this value performs: results by
 	// tier, promotions past the operands' tier (overflow escapes) and
 	// demotions below it (Reduce reclaiming values after cancellation).
-	// Workspace.Tiers is the conventional home; core.Stats.Tiers reports
-	// it. The nil default costs one predictable branch per op.
+	// offline.Workspace owns the counters its exact refinement records
+	// into; core.Stats.Tiers reports them. The nil default costs one
+	// predictable branch per op.
 	Tiers *rat.TierStats
 }
 

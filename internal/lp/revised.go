@@ -24,13 +24,12 @@ package lp
 // All arithmetic goes through Ops[T]; eta and solution updates use
 // Ops.MulAdd so the exact backend's accumulate chains stay in rat's inline
 // int64 form whenever the final values fit (see rat.MulAdd). Both solvers
-// share Problem's sparse constraint rows and the Workspace pooling
-// discipline: a warmed-up SolveRevisedWith performs no steady-state
-// allocation beyond the backend's own escapes.
+// share Problem's sparse constraint rows. A solve allocates its working
+// state once; its iterations allocate nothing beyond the backend's own
+// escapes.
 //
-// The dense tableau remains the float-path solver (its tolerance handling
-// is battle-tested) and the differential-test oracle for this file (see
-// FuzzSimplexDifferential).
+// The dense tableau remains the differential-test oracle for this file
+// (see FuzzSimplexDifferential).
 
 // revisedRefactorEvery is the hard cap on etas appended since the last
 // refactorisation. The primary trigger is nnz-based (see shouldRefactor):
@@ -61,11 +60,10 @@ func (e *etaFile[T]) reset() {
 
 func (e *etaFile[T]) len() int { return len(e.piv) }
 
-// revised is the pooled working state of one sparse revised-simplex solve.
+// revised is the working state of one sparse revised-simplex solve.
 type revised[T any] struct {
 	ops  Ops[T]
 	prob *Problem[T]
-	ws   *Workspace[T]
 
 	m, n int // rows; structural+slack columns (artificial i is column n+i)
 
@@ -101,42 +99,25 @@ type revised[T any] struct {
 	iters  int
 }
 
-// SolveRevised is SolveRevisedWith without a workspace.
+// SolveRevised solves p with the sparse revised simplex method. It returns
+// the same statuses and typed errors as Solve, and like Solve allocates its
+// own state per call. Use it for large sparse programs — the exact System
+// (1) instances — where the dense tableau's per-iteration O(m·n) row work
+// dominates; for small or dense programs the tableau is simpler and just as
+// fast.
 func (p *Problem[T]) SolveRevised() (*Solution[T], error) {
-	return p.SolveRevisedWith(nil)
-}
-
-// SolveRevisedWith solves p with the sparse revised simplex method, drawing
-// all solver state from ws exactly as SolveWith does for the dense tableau
-// (nil ws allocates fresh; the returned Solution including X is owned by ws
-// and overwritten by the next solve on it). It returns the same statuses
-// and typed errors as SolveWith. Use it for large sparse programs — the
-// exact System (1) instances — where the dense tableau's per-iteration
-// O(m·n) row work dominates; for small or dense programs the tableau is
-// simpler and just as fast.
-//
-//stretch:noalloc
-func (p *Problem[T]) SolveRevisedWith(ws *Workspace[T]) (*Solution[T], error) {
-	var rv *revised[T]
-	if ws != nil {
-		rv = &ws.rev
-	} else {
-		rv = &revised[T]{} //stretch:alloc-ok — nil-workspace path
-	}
-	rv.init(p, ws)
+	rv := &revised[T]{}
+	rv.init(p)
 	sol := rv.solve()
-	if sol.Status != Optimal {
-		return sol, sol.Status.Err()
-	}
-	return sol, nil
+	return &sol, sol.Status.Err()
 }
 
 // init binds the solver state to p and builds the sparse column matrix.
 //
 //stretch:noalloc
-func (rv *revised[T]) init(p *Problem[T], ws *Workspace[T]) {
+func (rv *revised[T]) init(p *Problem[T]) {
 	ops := p.ops
-	rv.ops, rv.prob, rv.ws = ops, p, ws
+	rv.ops, rv.prob = ops, p
 	m := len(p.cons)
 	nSlack := 0
 	for i := range p.cons {
@@ -593,19 +574,8 @@ func (rv *revised[T]) objective() T {
 	return val
 }
 
-// solution assembles the result in the workspace slot, mirroring
-// tableau.solution.
-func (rv *revised[T]) solution(s Solution[T]) *Solution[T] {
-	if rv.ws != nil {
-		rv.ws.sol = s
-		return &rv.ws.sol
-	}
-	out := s
-	return &out
-}
-
 //stretch:noalloc
-func (rv *revised[T]) solve() *Solution[T] {
+func (rv *revised[T]) solve() Solution[T] {
 	ops := rv.ops
 
 	// Phase 1: minimise the sum of the artificial variables.
@@ -617,10 +587,10 @@ func (rv *revised[T]) solve() *Solution[T] {
 	}
 	status := rv.optimize()
 	if status != Optimal {
-		return rv.solution(Solution[T]{Status: status, Iterations: rv.iters})
+		return Solution[T]{Status: status, Iterations: rv.iters}
 	}
 	if ops.Sign(rv.objective()) > 0 {
-		return rv.solution(Solution[T]{Status: Infeasible, Iterations: rv.iters})
+		return Solution[T]{Status: Infeasible, Iterations: rv.iters}
 	}
 	rv.driveOutArtificials()
 
@@ -632,7 +602,7 @@ func (rv *revised[T]) solve() *Solution[T] {
 	rv.cursor, rv.bland, rv.streak = 0, false, 0
 	status = rv.optimize()
 	if status != Optimal {
-		return rv.solution(Solution[T]{Status: status, Iterations: rv.iters})
+		return Solution[T]{Status: status, Iterations: rv.iters}
 	}
 	return rv.optimal()
 }
@@ -641,19 +611,13 @@ func (rv *revised[T]) solve() *Solution[T] {
 // objective, negated back when maximising, and the structural values.
 //
 //stretch:noalloc
-func (rv *revised[T]) optimal() *Solution[T] {
+func (rv *revised[T]) optimal() Solution[T] {
 	ops := rv.ops
 	val := rv.objective()
 	if rv.prob.maximize {
 		val = ops.Neg(val)
 	}
-	var x []T
-	if rv.ws != nil {
-		rv.ws.x = growSlice(rv.ws.x, rv.prob.nvars)
-		x = rv.ws.x
-	} else {
-		x = make([]T, rv.prob.nvars) //stretch:alloc-ok — nil-workspace path
-	}
+	x := make([]T, rv.prob.nvars) //stretch:alloc-ok — the returned solution
 	for j := range x {
 		x[j] = ops.Zero()
 	}
@@ -662,7 +626,7 @@ func (rv *revised[T]) optimal() *Solution[T] {
 			x[v] = rv.xB[r]
 		}
 	}
-	return rv.solution(Solution[T]{Status: Optimal, X: x, Objective: val, Iterations: rv.iters})
+	return Solution[T]{Status: Optimal, X: x, Objective: val, Iterations: rv.iters}
 }
 
 // driveOutArtificials pivots every artificial still basic after phase 1
@@ -752,6 +716,24 @@ func (rv *revised[T]) setPhase2Costs() {
 		}
 		rv.cost[j] = c
 	}
+}
+
+// growSlice returns s resized to length n, reusing its backing array when
+// large enough. Contents are unspecified; callers refill what they read.
+func growSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// growIntSlice is growSlice for []int (kept monomorphic for clarity at call
+// sites that mix element types).
+func growIntSlice(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 // growBoolSlice is growSlice for []bool.

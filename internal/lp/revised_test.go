@@ -210,9 +210,10 @@ func TestRevisedRefactorisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWorkspace[rat.Rat]()
-	rs, err := build().SolveRevisedWith(ws)
-	if err != nil {
+	rv := &revised[rat.Rat]{}
+	rv.init(build())
+	rs := rv.solve()
+	if err := rs.Status.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !rs.Objective.Equal(ds.Objective) {
@@ -229,116 +230,68 @@ func TestRevisedRefactorisation(t *testing.T) {
 	// *after* the rebuild made the solver refactorise almost every
 	// iteration on any paper-scale basis. A healthy cadence needs at least
 	// a handful of pivots between rebuilds.
-	if ws.rev.refacs == 0 {
+	if rv.refacs == 0 {
 		t.Fatal("refactorisation never triggered")
 	}
-	if max := rs.Iterations/4 + 1; ws.rev.refacs > max {
+	if max := rs.Iterations/4 + 1; rv.refacs > max {
 		t.Fatalf("%d refactorisations in %d iterations (want ≤ %d: the cadence is thrashing)",
-			ws.rev.refacs, rs.Iterations, max)
+			rv.refacs, rs.Iterations, max)
 	}
 }
 
-// TestRevisedWorkspaceMatchesFresh: pooled revised solves agree bit-for-bit
-// with fresh ones across interleaved shapes, like the dense workspace test.
-func TestRevisedWorkspaceMatchesFresh(t *testing.T) {
-	ws := NewWorkspace[float64]()
-	pooled := New[float64](NewFloat64Ops(), 0)
-	for _, nvars := range []int{6, 2, 9, 4} {
-		fresh := New[float64](NewFloat64Ops(), nvars)
-		buildBoxProblem(fresh, nvars)
-		pooled.Reset(nvars)
-		buildBoxProblem(pooled, nvars)
-
-		want, err := fresh.SolveRevised()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pooled.SolveRevisedWith(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Objective != want.Objective || got.Status != want.Status {
-			t.Fatalf("nvars=%d: pooled (%v, %v), fresh (%v, %v)",
-				nvars, got.Status, got.Objective, want.Status, want.Objective)
-		}
-		for v := range want.X {
-			if got.X[v] != want.X[v] {
-				t.Fatalf("nvars=%d: x[%d] = %v, fresh %v", nvars, v, got.X[v], want.X[v])
-			}
-		}
-
-		// An infeasible program between feasible ones must not poison reuse.
-		pooled.Reset(1)
-		pooled.AddDense([]float64{1}, GE, 5)
-		pooled.AddDense([]float64{1}, LE, 2)
-		if _, err := pooled.SolveRevisedWith(ws); !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("infeasible program: err = %v", err)
-		}
-	}
-}
-
-// TestRevisedWorkspaceSteadyStateAllocs: the revised path shares the
-// workspace discipline — rebuilding and solving the same float64 program
-// through one Problem+Workspace allocates nothing in steady state.
-func TestRevisedWorkspaceSteadyStateAllocs(t *testing.T) {
-	ws := NewWorkspace[float64]()
-	p := New[float64](NewFloat64Ops(), 0)
-	coef := make([]float64, 6)
-	run := func() {
-		p.Reset(6)
-		p.SetMaximize(true)
-		for v := 0; v < 6; v++ {
-			p.SetObjectiveCoef(v, float64(v+1))
-			for i := range coef {
-				coef[i] = 0
-			}
-			coef[v] = 1
-			p.AddDense(coef, LE, 10)
-		}
-		for i := range coef {
-			coef[i] = 1
-		}
-		p.AddDense(coef, LE, 20)
-		sol, err := p.SolveRevisedWith(ws)
-		if err != nil || math.IsNaN(sol.Objective) {
-			t.Fatal("solve failed")
-		}
-	}
-	run()
-	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
-		t.Fatalf("steady-state SolveRevisedWith allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestRevisedExactSmallRationalAllocs: on small-integer rational data the
-// exact revised path must also be allocation-free in steady state — the
-// per-iteration guarantee behind the Offline-Exact alloc gate one layer up.
+// TestRevisedExactSmallRationalAllocs: on small-integer rational data every
+// value the exact revised path touches stays in rat's inline int64 form, so
+// an exact solve allocates exactly what the float64 solve of the same
+// program does — its per-solve state and result — and its iterations
+// nothing beyond that.
 func TestRevisedExactSmallRationalAllocs(t *testing.T) {
-	ws := NewWorkspace[rat.Rat]()
-	p := New[rat.Rat](RatOps{}, 0)
-	coef := make([]rat.Rat, 6)
-	run := func() {
-		p.Reset(6)
-		p.SetMaximize(true)
-		for v := 0; v < 6; v++ {
-			p.SetObjectiveCoef(v, rat.FromInt(int64(v+1)))
-			for i := range coef {
-				coef[i] = rat.Zero
-			}
-			coef[v] = rat.One
-			p.AddDense(coef, LE, rat.FromInt(10))
+	fp := New[float64](NewFloat64Ops(), 6)
+	rp := New[rat.Rat](RatOps{}, 6)
+	fp.SetMaximize(true)
+	rp.SetMaximize(true)
+	fcoef := make([]float64, 6)
+	rcoef := make([]rat.Rat, 6)
+	for v := 0; v < 6; v++ {
+		fp.SetObjectiveCoef(v, float64(v+1))
+		rp.SetObjectiveCoef(v, rat.FromInt(int64(v+1)))
+		for i := range fcoef {
+			fcoef[i], rcoef[i] = 0, rat.Zero
 		}
-		for i := range coef {
-			coef[i] = rat.One
-		}
-		p.AddDense(coef, LE, rat.FromInt(20))
-		if _, err := p.SolveRevisedWith(ws); err != nil {
+		fcoef[v], rcoef[v] = 1, rat.One
+		fp.AddDense(fcoef, LE, 10)
+		rp.AddDense(rcoef, LE, rat.FromInt(10))
+	}
+	for i := range fcoef {
+		fcoef[i], rcoef[i] = 1, rat.One
+	}
+	fp.AddDense(fcoef, LE, 20)
+	rp.AddDense(rcoef, LE, rat.FromInt(20))
+
+	fsol, err := fp.SolveRevised()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsol, err := rp.SolveRevised()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rsol.Objective.Float() != fsol.Objective || rsol.Iterations != fsol.Iterations {
+		t.Fatalf("exact (%v, %d iterations), float (%v, %d)",
+			rsol.Objective, rsol.Iterations, fsol.Objective, fsol.Iterations)
+	}
+	floatAllocs := testing.AllocsPerRun(30, func() {
+		if _, err := fp.SolveRevised(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	run()
-	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
-		t.Fatalf("steady-state exact SolveRevisedWith allocates %.1f objects/op, want 0", allocs)
+	})
+	exactAllocs := testing.AllocsPerRun(30, func() {
+		if _, err := rp.SolveRevised(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if exactAllocs != floatAllocs {
+		t.Fatalf("exact SolveRevised allocates %.1f objects/op, float %.1f: rational values escaped",
+			exactAllocs, floatAllocs)
 	}
 }
 

@@ -136,6 +136,12 @@ func (p *Problem[T]) SetObjectiveCoef(v int, c T) {
 // SetMaximize switches the problem to maximisation (default is minimisation).
 func (p *Problem[T]) SetMaximize(maximize bool) { p.maximize = maximize }
 
+// appendCon extends p.cons by one empty constraint and returns it.
+func (p *Problem[T]) appendCon() *constraint[T] {
+	p.cons = append(p.cons, constraint[T]{})
+	return &p.cons[len(p.cons)-1]
+}
+
 // AddDense adds the constraint coef·x rel rhs. coef may be shorter than the
 // variable count; missing coefficients are zero. Only entries with nonzero
 // Sign are stored; the slice is not retained.
@@ -181,27 +187,13 @@ type Solution[T any] struct {
 	Iterations int
 }
 
-// Solve runs the two-phase primal simplex method and returns the optimal
-// solution, or an error wrapping ErrNotOptimal if the problem is infeasible
-// or unbounded.
+// Solve runs the two-phase primal simplex method on a dense tableau and
+// returns the optimal solution, or an error wrapping ErrNotOptimal (with
+// the non-optimal Solution) if the problem is infeasible or unbounded.
+// Every solve allocates its own tableau, and the Solution is the caller's.
 func (p *Problem[T]) Solve() (*Solution[T], error) {
-	return p.SolveWith(nil)
-}
-
-// SolveWith is Solve drawing all tableau and solution buffers from ws, so
-// repeated solves of similarly-shaped programs reuse solver state instead of
-// reallocating it. A nil ws behaves exactly like Solve. The returned
-// Solution (including X) is owned by ws and overwritten by the next
-// SolveWith on it.
-//
-//stretch:noalloc
-func (p *Problem[T]) SolveWith(ws *Workspace[T]) (*Solution[T], error) {
-	t := newTableau(p, ws)
-	sol := t.solve()
-	if sol.Status != Optimal {
-		return sol, sol.Status.Err()
-	}
-	return sol, nil
+	sol := newTableau(p).solve()
+	return &sol, sol.Status.Err()
 }
 
 // tableau is the dense simplex working state in standard equality form
@@ -209,7 +201,6 @@ func (p *Problem[T]) SolveWith(ws *Workspace[T]) (*Solution[T], error) {
 type tableau[T any] struct {
 	ops   Ops[T]
 	prob  *Problem[T]
-	ws    *Workspace[T]
 	m, n  int   // rows, structural+slack columns (artificials after n)
 	a     [][]T // m rows × (n + nart) coefficient matrix
 	b     []T   // m, right-hand sides (kept ≥ 0)
@@ -221,8 +212,10 @@ type tableau[T any] struct {
 
 const maxIterFactor = 200 // iteration cap = maxIterFactor * (m + n)
 
+// newTableau scatters p's sparse rows into a fresh tableau.
+//
 //stretch:noalloc
-func newTableau[T any](p *Problem[T], ws *Workspace[T]) *tableau[T] {
+func newTableau[T any](p *Problem[T]) *tableau[T] {
 	ops := p.ops
 	m := len(p.cons)
 	nSlack := 0
@@ -232,21 +225,10 @@ func newTableau[T any](p *Problem[T], ws *Workspace[T]) *tableau[T] {
 		}
 	}
 	n := p.nvars + nSlack
-	var t *tableau[T]
-	if ws != nil {
-		t = &ws.tab
-	} else {
-		t = &tableau[T]{} //stretch:alloc-ok — nil-workspace path
-	}
-	t.ops, t.prob, t.ws = ops, p, ws
-	t.m, t.n = m, n
-	t.nart, t.iters = 0, 0
-	if cap(t.a) < m {
-		t.a = make([][]T, m) //stretch:alloc-ok — buffer growth
-	}
-	t.a = t.a[:m]
-	t.b = growSlice(t.b, m)
-	t.basis = growIntSlice(t.basis, m)
+	t := &tableau[T]{ops: ops, prob: p, m: m, n: n} //stretch:alloc-ok — per-solve state
+	t.a = make([][]T, m)                            //stretch:alloc-ok — per-solve state
+	t.b = make([]T, m)                              //stretch:alloc-ok — per-solve state
+	t.basis = make([]int, m)                        //stretch:alloc-ok — per-solve state
 
 	// Rows are sized to the full phase-1 width n+m up front, with the
 	// artificial columns zeroed, so solve() fills them in place instead of
@@ -255,7 +237,7 @@ func newTableau[T any](p *Problem[T], ws *Workspace[T]) *tableau[T] {
 	slack := p.nvars
 	for r := range p.cons {
 		c := &p.cons[r]
-		row := growSlice(t.a[r], width)
+		row := make([]T, width) //stretch:alloc-ok — per-solve state
 		for j := range row {
 			row[j] = ops.Zero()
 		}
@@ -284,19 +266,8 @@ func newTableau[T any](p *Problem[T], ws *Workspace[T]) *tableau[T] {
 	return t
 }
 
-// solution assembles the result, drawing the Solution struct from the
-// workspace when one is attached.
-func (t *tableau[T]) solution(s Solution[T]) *Solution[T] {
-	if t.ws != nil {
-		t.ws.sol = s
-		return &t.ws.sol
-	}
-	out := s
-	return &out
-}
-
 //stretch:noalloc
-func (t *tableau[T]) solve() *Solution[T] {
+func (t *tableau[T]) solve() Solution[T] {
 	ops := t.ops
 
 	// Phase 1: one artificial per row (columns pre-zeroed by newTableau),
@@ -306,13 +277,7 @@ func (t *tableau[T]) solve() *Solution[T] {
 		t.a[r][t.n+r] = ops.One()
 		t.basis[r] = t.n + r
 	}
-	var phase1Obj []T
-	if t.ws != nil {
-		t.ws.phase1 = growSlice(t.ws.phase1, t.n+t.nart)
-		phase1Obj = t.ws.phase1
-	} else {
-		phase1Obj = make([]T, t.n+t.nart) //stretch:alloc-ok — nil-workspace path
-	}
+	phase1Obj := make([]T, t.n+t.nart) //stretch:alloc-ok — per-solve buffer
 	for j := 0; j < t.n; j++ {
 		phase1Obj[j] = ops.Zero()
 	}
@@ -321,24 +286,20 @@ func (t *tableau[T]) solve() *Solution[T] {
 	}
 	status, val := t.optimize(phase1Obj)
 	if status != Optimal {
-		return t.solution(Solution[T]{Status: status, Iterations: t.iters})
+		return Solution[T]{Status: status, Iterations: t.iters}
 	}
 	if ops.Sign(val) > 0 {
-		return t.solution(Solution[T]{Status: Infeasible, Iterations: t.iters})
+		return Solution[T]{Status: Infeasible, Iterations: t.iters}
 	}
 	t.driveOutArtificials()
 	// Drop artificial columns and any redundant row whose artificial could
 	// not be driven out (such rows are identically zero with zero rhs).
-	// Dropped rows keep their (full-capacity) backing arrays parked in the
-	// tail slots of t.a so a future reuse never aliases two rows.
 	keep := 0
 	for r := 0; r < t.m; r++ {
 		if t.basis[r] >= t.n {
 			continue
 		}
-		row := t.a[r]
-		t.a[r] = t.a[keep]
-		t.a[keep] = row[:t.n]
+		t.a[keep] = t.a[r][:t.n]
 		t.basis[keep] = t.basis[r]
 		t.b[keep] = t.b[r]
 		keep++
@@ -350,13 +311,7 @@ func (t *tableau[T]) solve() *Solution[T] {
 	t.nart = 0
 
 	// Phase 2: original objective (negated if maximising).
-	var obj []T
-	if t.ws != nil {
-		t.ws.phase2 = growSlice(t.ws.phase2, t.n)
-		obj = t.ws.phase2
-	} else {
-		obj = make([]T, t.n) //stretch:alloc-ok — nil-workspace path
-	}
+	obj := make([]T, t.n) //stretch:alloc-ok — per-solve buffer
 	for j := range obj {
 		obj[j] = ops.Zero()
 	}
@@ -369,16 +324,10 @@ func (t *tableau[T]) solve() *Solution[T] {
 	}
 	status, val = t.optimize(obj)
 	if status != Optimal {
-		return t.solution(Solution[T]{Status: status, Iterations: t.iters})
+		return Solution[T]{Status: status, Iterations: t.iters}
 	}
 
-	var x []T
-	if t.ws != nil {
-		t.ws.x = growSlice(t.ws.x, t.prob.nvars)
-		x = t.ws.x
-	} else {
-		x = make([]T, t.prob.nvars) //stretch:alloc-ok — nil-workspace path
-	}
+	x := make([]T, t.prob.nvars) //stretch:alloc-ok — the returned solution
 	for j := range x {
 		x[j] = ops.Zero()
 	}
@@ -390,7 +339,7 @@ func (t *tableau[T]) solve() *Solution[T] {
 	if t.prob.maximize {
 		val = ops.Neg(val)
 	}
-	return t.solution(Solution[T]{Status: Optimal, X: x, Objective: val, Iterations: t.iters})
+	return Solution[T]{Status: Optimal, X: x, Objective: val, Iterations: t.iters}
 }
 
 // driveOutArtificials pivots any artificial variable that is still basic at

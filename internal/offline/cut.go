@@ -86,13 +86,11 @@ func (p *Problem) refineCut(flo, fhi float64, exact bool) (*Solution, error) {
 	if !saturated {
 		f = fhi
 	}
-	alloc, ok := p.solveFlow(f, true)
+	alloc, ok := p.solveFlow(f)
 	if !ok {
 		return nil, fmt.Errorf("offline: allocation extraction failed at F=%v", f)
 	}
-	sol := p.solution()
-	*sol = Solution{Stretch: f, Alloc: alloc}
-	return sol, nil
+	return p.solution(Solution{Stretch: f, Alloc: alloc}), nil
 }
 
 // cutNetwork lays out System (1)'s network on the bracket [flo, fhi] and
@@ -127,7 +125,7 @@ func (p *Problem) certify(c *cutNet, x rat.Rat, ops lp.RatOps) (*Solution, error
 		if x.Cmp(c.hi) > 0 {
 			return nil, errSystem1Infeasible
 		}
-		g = p.ratGraph(c.sink+1, ops)
+		g = p.ratGraph(c.sink + 1)
 		c.fillRat(g, x, ops)
 		if g.MaxFlow(0, c.sink).Cmp(c.total) >= 0 {
 			break
@@ -139,7 +137,7 @@ func (p *Problem) certify(c *cutNet, x rat.Rat, ops lp.RatOps) (*Solution, error
 		x = r
 	}
 
-	alloc := p.allocSlot(allocSolveSlot(p))
+	alloc := &p.pool().allocSolve
 	alloc.prepare(p, x.Float(), nil, len(c.bounds)-1, c.m, c.n)
 	for _, b := range c.bounds {
 		alloc.Bounds = append(alloc.Bounds, b.Eval(x).Float())
@@ -149,9 +147,7 @@ func (p *Problem) certify(c *cutNet, x rat.Rat, ops lp.RatOps) (*Solution, error
 			alloc.Work[tr.t][tr.i][tr.k] += w.Float()
 		}
 	}
-	out := p.solution()
-	*out = Solution{Stretch: x.Float(), ExactStretch: x, Alloc: alloc}
-	return out, nil
+	return p.solution(Solution{Stretch: x.Float(), ExactStretch: x, Alloc: alloc}), nil
 }
 
 // errSystem1Infeasible is the status System (1) reports when no F in the
@@ -161,7 +157,7 @@ var errSystem1Infeasible = fmt.Errorf("offline: System (1) refinement: %w", lp.E
 // exactTriples lists System (1)'s variables on the bracket: for every task
 // k, the (interval, machine) pairs whose interval lies inside k's window at
 // the probe point mid and whose machine hosts k's databank. A task left
-// without any is an error. The slice is workspace scratch when p is pooled.
+// without any is an error. The slice is appended to out[:0].
 func (p *Problem) exactTriples(bounds []rat.Affine, mid, flo, fhi float64, out []exTriple) ([]exTriple, error) {
 	out = out[:0]
 	for k := range p.Tasks {
@@ -342,29 +338,25 @@ func (c *cutNet) root(side []bool, ops lp.RatOps) (rat.Rat, bool) {
 	return ops.Div(ops.Sub(c.total, a), b), true
 }
 
-// cutScratch returns the refinement network scratch and the rational ops
-// its exact arithmetic runs on: the workspace's, which count into its tier
-// counters (Workspace.TierStats), or fresh uncounted ones.
+// cutScratch returns the workspace's refinement network scratch and the
+// rational ops its exact arithmetic runs on, which count into the
+// workspace's tier counters (Workspace.TierStats).
 func (p *Problem) cutScratch() (*cutNet, lp.RatOps) {
-	if p.ws == nil {
-		return &cutNet{}, lp.RatOps{}
-	}
-	ws := p.ws
+	ws := p.pool()
 	if ws.rops.Tiers == nil {
 		ws.rops.Tiers = &ws.tiers
 	}
 	return &ws.cut, ws.rops
 }
 
-// ratGraph is dinicGraph for the rational certificate.
-func (p *Problem) ratGraph(n int, ops lp.RatOps) *flow.Graph[rat.Rat] {
-	if p.ws == nil {
-		return flow.NewGraph[rat.Rat](ops, n)
-	}
-	if p.ws.exact == nil {
-		p.ws.exact = flow.NewGraph[rat.Rat](&p.ws.rops, n)
+// ratGraph is dinicGraph for the rational certificate, on the workspace's
+// counted rational ops.
+func (p *Problem) ratGraph(n int) *flow.Graph[rat.Rat] {
+	ws := p.pool()
+	if ws.exact == nil {
+		ws.exact = flow.NewGraph[rat.Rat](&ws.rops, n)
 	} else {
-		p.ws.exact.Reset(&p.ws.rops, n)
+		ws.exact.Reset(&ws.rops, n)
 	}
-	return p.ws.exact
+	return ws.exact
 }

@@ -12,16 +12,17 @@ import (
 // cutStream replays one arrival/completion/remaining-work event stream
 // over inst, the shape of the online re-optimisations, and solves every
 // event's problem four times: with the production parametric cut on a
-// pooled workspace, with its exact phase alone from the floor of System
+// shared workspace, with its exact phase alone from the floor of System
 // (1)'s range (exactPhaseOnly), with the System (1) oracle on the rational
-// simplex, and in float mode on a second pooled workspace. The exact three
-// must agree on the error status and, when they succeed, on S* as a
-// rational. The float solve must succeed on every event: within 1e-9 of
-// S* where the exact ones succeed, and at the bracket's top milestone fhi,
-// tight to 1e-9, where they fail. Every witness must be a valid
-// allocation. With ties set the clock and the work updates stay on
-// integers, so releases collide and brackets open on milestones with
-// zero-length intervals.
+// simplex, and in float mode on a second shared workspace. Each solve runs
+// on its own problem, since two results of one kind on one problem share
+// its workspace's solution slot. The exact three must agree on the error
+// status and, when they succeed, on S* as a rational. The float solve must
+// succeed on every event: within 1e-9 of S* where the exact ones succeed,
+// and at the bracket's top milestone fhi, tight to 1e-9, where they fail.
+// Every witness must be a valid allocation. With ties set the clock and
+// the work updates stay on integers, so releases collide and brackets open
+// on milestones with zero-length intervals.
 func cutStream(t *testing.T, inst *model.Instance, ops []byte, ties bool) {
 	t.Helper()
 	ws, fws := NewWorkspace(), NewWorkspace()
@@ -81,7 +82,7 @@ func cutStream(t *testing.T, inst *model.Instance, ops []byte, ties bool) {
 			})
 		}
 		fresh := &Problem{Inst: inst, Tasks: slices.Clone(pooled.Tasks)}
-		want, werr := OracleStretch(fresh, false)
+		want, werr := OracleStretch(&Problem{Inst: inst, Tasks: slices.Clone(pooled.Tasks)}, false)
 		slow, serr := exactPhaseOnly(fresh)
 		got, gerr := s.OptimalStretch(pooled)
 		if (werr == nil) != (gerr == nil) || (werr == nil) != (serr == nil) {

@@ -21,8 +21,10 @@ func TestExactModeRandomCrossValidation(t *testing.T) {
 		inst := randomInstance(t, rng, 1+rng.Intn(2), 1+rng.Intn(2), 2+rng.Intn(4))
 		prob := FromInstance(inst)
 
+		// The float solve runs on its own problem: a second solve on prob
+		// would overwrite its result in prob's solution slot.
 		var fast Solver
-		fsol, err := fast.OptimalStretch(prob)
+		fsol, err := fast.OptimalStretch(FromInstance(inst))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -48,10 +50,11 @@ func TestExactModeRandomCrossValidation(t *testing.T) {
 	}
 }
 
-// TestExactWorkspaceMatchesFresh: the pooled exact path — LP problem,
-// tableau workspace, construction scratch — produces bit-identical results
-// to the workspace-less one, across interleaved instance sizes (so grown
-// and shrunk scratch is exercised in both directions).
+// TestExactWorkspaceMatchesFresh: the exact path on one shared workspace —
+// cut network, float and rational graphs, construction scratch — produces
+// bit-identical results to problems on fresh private workspaces, across
+// interleaved instance sizes (so grown and shrunk scratch is exercised in
+// both directions).
 func TestExactWorkspaceMatchesFresh(t *testing.T) {
 	ws := NewWorkspace()
 	exact := Solver{Exact: true}

@@ -63,24 +63,19 @@ type feasNet struct {
 	admiss [][]int // task -> admissible interval indices
 }
 
-// network builds the interval/admissibility structure at objective f. With a
-// workspace attached the structure is pooled and overwritten by the next
-// network call — which is why Alloc.prepare copies the bounds it keeps.
+// network builds the interval/admissibility structure at objective f. The
+// structure is pooled and overwritten by the next network call — which is
+// why Alloc.prepare copies the bounds it keeps.
 func (p *Problem) network(f float64) *feasNet {
-	var net *feasNet
-	if p.ws != nil {
-		net = &p.ws.net
-		net.p = p
-		net.bounds = p.intervalsInto(f, net.bounds)
-		if cap(net.admiss) < len(p.Tasks) {
-			net.admiss = make([][]int, len(p.Tasks))
-		}
-		net.admiss = net.admiss[:len(p.Tasks)]
-		for k := range net.admiss {
-			net.admiss[k] = net.admiss[k][:0]
-		}
-	} else {
-		net = &feasNet{p: p, bounds: p.Intervals(f), admiss: make([][]int, len(p.Tasks))}
+	net := &p.pool().net
+	net.p = p
+	net.bounds = p.intervalsInto(f, net.bounds)
+	if cap(net.admiss) < len(p.Tasks) {
+		net.admiss = make([][]int, len(p.Tasks))
+	}
+	net.admiss = net.admiss[:len(p.Tasks)]
+	for k := range net.admiss {
+		net.admiss[k] = net.admiss[k][:0]
 	}
 	bounds := net.bounds
 	for k := range p.Tasks {
@@ -102,7 +97,7 @@ func (p *Problem) network(f float64) *feasNet {
 // Work into (interval, machine) bins of capacity len(I_t)·speed_i,
 // restricted to admissible intervals and eligible machines.
 func (p *Problem) Feasible(f float64) bool {
-	_, ok := p.solveFlowBiased(f, false, false, nil)
+	_, ok := p.solveFlowBiased(f, false, nil)
 	return ok
 }
 
@@ -112,39 +107,35 @@ func (p *Problem) Feasible(f float64) bool {
 // an arbitrary deadline-feasible LP vertex with no earliness preference —
 // the behaviour of the paper's non-optimised online baseline (§5.2).
 func (p *Problem) FeasibleAlloc(f float64, late bool) (*Alloc, error) {
-	var slot *Alloc
-	if p.ws != nil {
-		slot = &p.ws.allocLazy
-	}
-	alloc, ok := p.solveFlowBiased(f, true, late, slot)
+	alloc, ok := p.solveFlowBiased(f, late, &p.pool().allocLazy)
 	if !ok {
 		return nil, fmt.Errorf("offline: stretch %v infeasible", f)
 	}
 	return alloc, nil
 }
 
-func (p *Problem) solveFlow(f float64, extract bool) (*Alloc, bool) {
-	var slot *Alloc
-	if p.ws != nil {
-		slot = &p.ws.allocSolve
-	}
-	return p.solveFlowBiased(f, extract, false, slot)
+// solveFlow extracts the feasibility witness at f into the solver-witness
+// slot.
+func (p *Problem) solveFlow(f float64) (*Alloc, bool) {
+	return p.solveFlowBiased(f, false, &p.pool().allocSolve)
 }
 
 // binEdge records one task→bin arc for allocation extraction.
 type binEdge struct{ t, i, k, id int }
 
-// solveFlowBiased runs the feasibility flow at objective f. When extract is
-// true and the flow saturates the demand, it also returns the allocation,
-// built in dst when non-nil (the workspace slots) or freshly otherwise.
-// late reverses the admissible-interval order seen by the augmenting
-// search, biasing the witness allocation toward late intervals.
-func (p *Problem) solveFlowBiased(f float64, extract, late bool, dst *Alloc) (*Alloc, bool) {
+// solveFlowBiased runs the feasibility flow at objective f. When dst is
+// non-nil (a workspace allocation slot) and the flow saturates the demand,
+// it also builds the allocation in dst and returns it. late reverses the
+// admissible-interval order seen by the augmenting search, biasing the
+// witness allocation toward late intervals.
+func (p *Problem) solveFlowBiased(f float64, late bool, dst *Alloc) (*Alloc, bool) {
 	n := len(p.Tasks)
+	extract := dst != nil
 	if n == 0 {
-		a := p.allocSlot(dst)
-		a.prepare(p, f, nil, 0, 0, 0)
-		return a, true
+		if extract {
+			dst.prepare(p, f, nil, 0, 0, 0)
+		}
+		return dst, true
 	}
 	net := p.network(f)
 	m := p.Inst.Platform.NumMachines()
@@ -192,9 +183,7 @@ func (p *Problem) solveFlowBiased(f float64, extract, late bool, dst *Alloc) (*A
 			g.AddEdge(binNode(t, i), sink, length*p.Inst.Platform.Machine(model.MachineID(i)).Speed)
 		}
 	}
-	if p.ws != nil {
-		p.ws.edges = edges // retain the grown backing for the next build
-	}
+	p.pool().edges = edges // retain the grown backing for the next build
 
 	got := g.MaxFlow(src, sink)
 	if got < total*(1-1e-9)-1e-12 {
@@ -203,12 +192,11 @@ func (p *Problem) solveFlowBiased(f float64, extract, late bool, dst *Alloc) (*A
 	if !extract {
 		return nil, true
 	}
-	alloc := p.allocSlot(dst)
-	alloc.prepare(p, f, net.bounds, nT, m, n)
+	dst.prepare(p, f, net.bounds, nT, m, n)
 	for _, e := range edges {
 		if fl := g.EdgeFlow(e.id); fl > 0 {
-			alloc.Work[e.t][e.i][e.k] += fl
+			dst.Work[e.t][e.i][e.k] += fl
 		}
 	}
-	return alloc, true
+	return dst, true
 }

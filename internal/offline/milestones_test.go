@@ -78,14 +78,6 @@ func TestFeasibleAllocLateBias(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := sol.Stretch * (1 + 1e-9)
-		early, err := prob.FeasibleAlloc(f, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		late, err := prob.FeasibleAlloc(f, true)
-		if err != nil {
-			t.Fatal(err)
-		}
 		centre := func(a *Alloc) float64 {
 			num, den := 0.0, 0.0
 			for ti := range a.Work {
@@ -102,9 +94,21 @@ func TestFeasibleAllocLateBias(t *testing.T) {
 			}
 			return num / den
 		}
-		if centre(late) < centre(early)-1e-9 {
+		early, err := prob.FeasibleAlloc(f, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAlloc(t, early)
+		// Both allocations share prob's latest-fit slot: read the early one
+		// before the late one overwrites it.
+		earlyCentre := centre(early)
+		late, err := prob.FeasibleAlloc(f, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lateCentre := centre(late); lateCentre < earlyCentre-1e-9 {
 			t.Fatalf("trial %d: late centre %v earlier than early centre %v",
-				trial, centre(late), centre(early))
+				trial, lateCentre, earlyCentre)
 		}
 		checkAlloc(t, late)
 	}

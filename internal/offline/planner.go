@@ -15,29 +15,25 @@ type Planner struct {
 	Solver Solver
 	// Refined additionally applies System (2) at the optimal stretch before
 	// realisation, which improves the (unconstrained) sum-stretch of the
-	// realised schedule without touching the max-stretch.
-	Refined bool
-	// AllowRefineFallback downgrades a failed System (2) refinement from a
-	// run-aborting error to a recorded one (see RefineErr): the run proceeds
-	// on the unrefined allocation, which still achieves the optimal
-	// max-stretch. Off by default — an "Offline-Refined" result that was
+	// realised schedule without touching the max-stretch. A failed
+	// refinement aborts the run: an "Offline-Refined" result that was
 	// silently never refined would skew every sum-stretch comparison it
-	// appears in, so degradation must be opted into, not defaulted to.
-	AllowRefineFallback bool
+	// appears in.
+	Refined bool
 
-	ws        *Workspace
-	refine    func(*Problem, float64) (*Alloc, error) // test seam; nil means Problem.Refine
-	refineErr error
-	plan      *sim.Plan
-	stretch   float64
+	ws      *Workspace
+	refine  func(*Problem, float64) (*Alloc, error) // test seam; nil means Problem.Refine
+	plan    *sim.Plan
+	stretch float64
 }
 
 // NewPlanner returns an offline planner with the default solver.
 func NewPlanner() *Planner { return &Planner{} }
 
-// SetWorkspace attaches a pooled solver workspace. The planner then draws
-// every solver, allocation and plan buffer from ws, so replaying instances
-// through one engine+workspace pair is allocation-free in steady state.
+// SetWorkspace attaches a shared solver workspace. The planner draws every
+// solver, allocation and plan buffer from its workspace, so replaying
+// instances through one engine+workspace pair is allocation-free in steady
+// state. A nil ws gives the planner a private workspace at its next Init.
 // Must not be called between Plan invocations of a running simulation.
 func (pl *Planner) SetWorkspace(ws *Workspace) { pl.ws = ws }
 
@@ -52,16 +48,13 @@ func (pl *Planner) Name() string {
 // Stretch returns the optimal max-stretch computed during the run.
 func (pl *Planner) Stretch() float64 { return pl.stretch }
 
-// RefineErr returns the System (2) failure recorded by the last run, if
-// any. It is only ever non-nil with AllowRefineFallback set; otherwise the
-// failure aborts the run through Plan's error return.
-func (pl *Planner) RefineErr() error { return pl.refineErr }
-
 // Init implements sim.Planner.
 func (pl *Planner) Init(*model.Instance) {
+	if pl.ws == nil {
+		pl.ws = NewWorkspace()
+	}
 	pl.plan = nil
 	pl.stretch = 0
-	pl.refineErr = nil
 }
 
 // Plan implements sim.Planner. The full-horizon timetable is computed on
@@ -70,12 +63,7 @@ func (pl *Planner) Plan(ctx *sim.Ctx) (*sim.Plan, error) {
 	if pl.plan != nil {
 		return pl.plan, nil
 	}
-	var prob *Problem
-	if pl.ws != nil {
-		prob = pl.ws.FromInstance(ctx.Inst)
-	} else {
-		prob = FromInstance(ctx.Inst)
-	}
+	prob := pl.ws.FromInstance(ctx.Inst)
 	sol, err := pl.Solver.OptimalStretch(prob)
 	if err != nil {
 		return nil, err
@@ -88,16 +76,10 @@ func (pl *Planner) Plan(ctx *sim.Ctx) (*sim.Plan, error) {
 			refine = (*Problem).Refine
 		}
 		refined, err := refine(prob, sol.Stretch)
-		switch {
-		case err == nil:
-			alloc = refined
-		case pl.AllowRefineFallback:
-			// Opt-in degradation: keep the max-stretch-optimal allocation,
-			// record that its sum-stretch was not refined.
-			pl.refineErr = err
-		default:
+		if err != nil {
 			return nil, fmt.Errorf("offline: System (2) refinement at F=%v: %w", sol.Stretch, err)
 		}
+		alloc = refined
 	}
 	plan, err := alloc.Realize(TerminalSWRPT)
 	if err != nil {

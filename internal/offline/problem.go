@@ -46,10 +46,18 @@ type Problem struct {
 	Inst  *model.Instance
 	Tasks []Task
 
-	// ws, when non-nil, supplies pooled buffers for every solver stage; see
-	// Workspace. Problems built by the package-level constructors or by hand
-	// have no workspace and allocate freshly, as before.
+	// ws supplies the buffers of every solver stage; see Workspace and pool.
 	ws *Workspace
+}
+
+// pool returns p's workspace. A problem built without one (FromInstance,
+// FromContext, FromInstanceWeighted, or by hand) gets a private workspace
+// here, at its first solve.
+func (p *Problem) pool() *Workspace {
+	if p.ws == nil {
+		p.ws = NewWorkspace()
+	}
+	return p.ws
 }
 
 // FromInstance builds the full offline problem: every job with its original
@@ -155,13 +163,11 @@ func (p *Problem) UpperBound() float64 {
 // Milestones enumerates the paper's milestones within (lo, hi]: objective
 // values at which a deadline function crosses a release date or another
 // deadline function, i.e. where the epochal-time ordering can change. The
-// returned slice is sorted and deduplicated; with a workspace attached it is
-// workspace-owned and valid until the next Milestones call.
+// returned slice is sorted and deduplicated; it is workspace-owned and
+// valid until the next Milestones call.
 func (p *Problem) Milestones(lo, hi float64) []float64 {
-	var ms, rel []float64
-	if p.ws != nil {
-		ms, rel = p.ws.ms[:0], p.ws.releases[:0]
-	}
+	ws := p.pool()
+	ms, rel := ws.ms[:0], ws.releases[:0]
 	inRange := func(f float64) bool {
 		return f > lo && f <= hi && !math.IsNaN(f) && !math.IsInf(f, 0)
 	}
@@ -204,9 +210,7 @@ func (p *Problem) Milestones(lo, hi float64) []float64 {
 			out = append(out, f)
 		}
 	}
-	if p.ws != nil {
-		p.ws.ms, p.ws.releases = ms, rel
-	}
+	ws.ms, ws.releases = ms, rel
 	return out
 }
 
@@ -217,10 +221,8 @@ func (p *Problem) Milestones(lo, hi float64) []float64 {
 func (p *Problem) Intervals(f float64) []float64 { return p.intervalsInto(f, nil) }
 
 func (p *Problem) intervalsInto(f float64, out []float64) []float64 {
-	var pts []float64
-	if p.ws != nil {
-		pts = p.ws.pts[:0]
-	}
+	ws := p.pool()
+	pts := ws.pts[:0]
 	minRel := math.Inf(1)
 	for k := range p.Tasks {
 		t := &p.Tasks[k]
@@ -228,9 +230,7 @@ func (p *Problem) intervalsInto(f float64, out []float64) []float64 {
 		minRel = math.Min(minRel, t.Release)
 	}
 	slices.Sort(pts)
-	if p.ws != nil {
-		p.ws.pts = pts
-	}
+	ws.pts = pts
 	out = out[:0]
 	for _, x := range pts {
 		if x < minRel {

@@ -28,21 +28,15 @@ const (
 
 // Realize converts an allocation into a per-machine timetable. Work placed
 // in interval t is packed from the interval's start in the selected order;
-// capacity feasibility of the allocation guarantees it fits. With a
-// workspace-backed problem, the returned plan and all realisation scratch
-// are pooled (the plan is overwritten by the next Realize on the same
-// workspace); the per-machine sorts use slices.SortFunc, so the steady
-// state allocates nothing.
+// capacity feasibility of the allocation guarantees it fits. The returned
+// plan and all realisation scratch are pooled on the problem's workspace
+// (the plan is overwritten by the next Realize on it); the per-machine
+// sorts use slices.SortFunc, so the steady state allocates nothing.
 func (a *Alloc) Realize(order Ordering) (*sim.Plan, error) {
-	ws := a.Problem.ws
+	ws := a.Problem.pool()
 	m := a.Problem.Inst.Platform.NumMachines()
-	var plan *sim.Plan
-	if ws != nil {
-		ws.plan.Reset(m)
-		plan = &ws.plan
-	} else {
-		plan = sim.NewPlan(m)
-	}
+	ws.plan.Reset(m)
+	plan := &ws.plan
 	if len(a.Work) == 0 {
 		return plan, nil
 	}
@@ -51,15 +45,10 @@ func (a *Alloc) Realize(order Ordering) (*sim.Plan, error) {
 
 	// Remaining global work of each task before each interval, for SWRPT
 	// keys: a flattened (nT+1)×n table, row t at offset t·n.
-	var remBefore []float64
-	if ws != nil {
-		if cap(ws.remBefore) < (nT+1)*n {
-			ws.remBefore = make([]float64, (nT+1)*n)
-		}
-		remBefore = ws.remBefore[:(nT+1)*n]
-	} else {
-		remBefore = make([]float64, (nT+1)*n)
+	if cap(ws.remBefore) < (nT+1)*n {
+		ws.remBefore = make([]float64, (nT+1)*n)
 	}
+	remBefore := ws.remBefore[:(nT+1)*n]
 	for k := 0; k < n; k++ {
 		remBefore[k] = a.Problem.Tasks[k].Work
 	}
@@ -73,23 +62,8 @@ func (a *Alloc) Realize(order Ordering) (*sim.Plan, error) {
 		}
 	}
 
-	var lastGlobal []int
-	if ws != nil {
-		if cap(ws.lastGlobal) < n {
-			ws.lastGlobal = make([]int, n) //stretch:alloc-ok — buffer growth
-		}
-		lastGlobal = ws.lastGlobal[:n]
-	} else {
-		lastGlobal = make([]int, n) //stretch:alloc-ok — nil-workspace path
-	}
-	for k := 0; k < n; k++ {
-		lastGlobal[k] = a.LastInterval(k)
-	}
-
-	var ks []int
-	if ws != nil {
-		ks = ws.ks[:0]
-	}
+	lastGlobal := a.lastIntervals(ws)
+	ks := ws.ks[:0]
 	for t := range a.Work {
 		lo, hi := a.Bounds[t], a.Bounds[t+1]
 		length := hi - lo
@@ -166,10 +140,25 @@ func (a *Alloc) Realize(order Ordering) (*sim.Plan, error) {
 			}
 		}
 	}
-	if ws != nil {
-		ws.ks = ks
-	}
+	ws.ks = ks
 	return plan, nil
+}
+
+// lastIntervals fills the workspace's completion-interval table with every
+// task's LastInterval, once per task rather than per comparison, and
+// returns it.
+//
+//stretch:noalloc
+func (a *Alloc) lastIntervals(ws *Workspace) []int {
+	n := len(a.Problem.Tasks)
+	if cap(ws.lastGlobal) < n {
+		ws.lastGlobal = make([]int, n) //stretch:alloc-ok — buffer growth
+	}
+	last := ws.lastGlobal[:n]
+	for k := range last {
+		last[k] = a.LastInterval(k)
+	}
+	return last
 }
 
 // GlobalOrder returns the tasks sorted by the Online-EGDF priority: the
@@ -181,38 +170,18 @@ func (a *Alloc) GlobalOrder() []model.JobID {
 }
 
 // AppendGlobalOrder appends the GlobalOrder priority list to dst and
-// returns it. With a workspace-backed problem the sort index and the
-// completion-interval table are pooled scratch, so a caller that also
-// reuses dst (Online-EGDF holds its list across arrival events) performs
-// no steady-state allocation.
+// returns it. The sort index and the completion-interval table are pooled
+// workspace scratch, so a caller that also reuses dst (Online-EGDF holds
+// its list across arrival events) performs no steady-state allocation.
 //
 //stretch:noalloc
 func (a *Alloc) AppendGlobalOrder(dst []model.JobID) []model.JobID {
-	ws := a.Problem.ws
+	ws := a.Problem.pool()
 	n := len(a.Problem.Tasks)
-
-	// Completion intervals once per task, not per comparison.
-	var lastGlobal []int
-	if ws != nil {
-		if cap(ws.lastGlobal) < n {
-			ws.lastGlobal = make([]int, n) //stretch:alloc-ok — buffer growth
-		}
-		lastGlobal = ws.lastGlobal[:n]
-	} else {
-		lastGlobal = make([]int, n) //stretch:alloc-ok — nil-workspace path
-	}
+	lastGlobal := a.lastIntervals(ws)
+	ks := ws.ks[:0]
 	for k := 0; k < n; k++ {
-		lastGlobal[k] = a.LastInterval(k)
-	}
-
-	var ks []int
-	if ws != nil {
-		ks = ws.ks[:0]
-	} else {
-		ks = make([]int, 0, n) //stretch:alloc-ok — nil-workspace path
-	}
-	for k := 0; k < n; k++ {
-		ks = append(ks, k) //stretch:alloc-ok — pre-sized or pooled backing
+		ks = append(ks, k) //stretch:alloc-ok — pooled backing
 	}
 	slices.SortFunc(ks, func(kx, ky int) int { //stretch:alloc-ok — non-escaping comparison closure
 		if lastGlobal[kx] != lastGlobal[ky] {
@@ -231,8 +200,6 @@ func (a *Alloc) AppendGlobalOrder(dst []model.JobID) []model.JobID {
 	for _, k := range ks {
 		dst = append(dst, a.Problem.Tasks[k].Job)
 	}
-	if ws != nil {
-		ws.ks = ks
-	}
+	ws.ks = ks
 	return dst
 }

@@ -21,8 +21,8 @@ type Solver struct {
 }
 
 // Solution is an optimal max-stretch together with a witness allocation.
-// With a workspace-backed problem, the Solution and its Alloc are owned by
-// the workspace and overwritten by the next solve on it.
+// The Solution and its Alloc are owned by the problem's workspace and
+// overwritten by the next solve on it.
 type Solution struct {
 	Stretch      float64
 	ExactStretch rat.Rat // set in Exact mode
@@ -55,21 +55,18 @@ func (s *Solver) bracket(p *Problem) (*Solution, float64, float64, error) {
 		return nil, 0, 0, err
 	}
 	if len(p.Tasks) == 0 {
-		alloc := p.allocSlot(allocSolveSlot(p))
+		alloc := &p.pool().allocSolve
 		alloc.prepare(p, 1, nil, 0, 0, 0)
-		sol := p.solution()
-		*sol = Solution{Stretch: 1, ExactStretch: rat.One, Alloc: alloc}
-		return sol, 0, 0, nil
+		return p.solution(Solution{Stretch: 1, ExactStretch: rat.One, Alloc: alloc}), 0, 0, nil
 	}
 
 	lb := p.LowerBound()
 	if p.Feasible(lb) {
-		alloc, ok := p.solveFlow(lb, true)
+		alloc, ok := p.solveFlow(lb)
 		if !ok {
 			return nil, 0, 0, fmt.Errorf("offline: allocation extraction failed at lower bound")
 		}
-		sol := p.solution()
-		*sol = Solution{Stretch: lb, Alloc: alloc}
+		sol := p.solution(Solution{Stretch: lb, Alloc: alloc})
 		if s.Exact {
 			sol.ExactStretch = rat.FromFloat(lb)
 		}
@@ -89,15 +86,10 @@ func (s *Solver) bracket(p *Problem) (*Solution, float64, float64, error) {
 	// Bracket the optimum between consecutive candidates. The candidate list
 	// is copied out of the milestone scratch so appending the upper bound
 	// cannot collide with it.
-	var candidates []float64
-	if p.ws != nil {
-		candidates = p.ws.candidates[:0]
-	}
-	candidates = append(candidates, p.Milestones(lb, ub)...)
+	ws := p.pool()
+	candidates := append(ws.candidates[:0], p.Milestones(lb, ub)...)
 	candidates = append(candidates, ub)
-	if p.ws != nil {
-		p.ws.candidates = candidates
-	}
+	ws.candidates = candidates
 	slices.Sort(candidates)
 	feasIdx := sort.Search(len(candidates), func(i int) bool {
 		return p.Feasible(candidates[i])
@@ -111,14 +103,6 @@ func (s *Solver) bracket(p *Problem) (*Solution, float64, float64, error) {
 		flo = candidates[feasIdx-1]
 	}
 	return nil, flo, fhi, nil
-}
-
-// allocSolveSlot returns the solver-witness slot of p's workspace, or nil.
-func allocSolveSlot(p *Problem) *Alloc {
-	if p.ws != nil {
-		return &p.ws.allocSolve
-	}
-	return nil
 }
 
 // OracleStretch is the Exact-mode OptimalStretch with System (1) solved as
@@ -202,15 +186,15 @@ func (p *Problem) refineExact(flo, fhi float64, dense bool) (*Solution, error) {
 
 	var sol *lp.Solution[rat.Rat]
 	if dense {
-		sol, err = prob.SolveWith(nil)
+		sol, err = prob.Solve()
 	} else {
-		sol, err = prob.SolveRevisedWith(nil)
+		sol, err = prob.SolveRevised()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("offline: System (1) refinement: %w", err)
 	}
 	fstar := sol.X[fVar]
-	alloc := p.allocSlot(allocSolveSlot(p))
+	alloc := &p.pool().allocSolve
 	alloc.prepare(p, fstar.Float(), nil, nT, m, n)
 	for _, b := range bounds {
 		alloc.Bounds = append(alloc.Bounds, b.Eval(fstar).Float())
@@ -220,9 +204,7 @@ func (p *Problem) refineExact(flo, fhi float64, dense bool) (*Solution, error) {
 			alloc.Work[tr.t][tr.i][tr.k] += w
 		}
 	}
-	out := p.solution()
-	*out = Solution{Stretch: fstar.Float(), ExactStretch: fstar, Alloc: alloc}
-	return out, nil
+	return p.solution(Solution{Stretch: fstar.Float(), ExactStretch: fstar, Alloc: alloc}), nil
 }
 
 // affItem pairs an epochal-boundary affine with its value at the probe
@@ -236,14 +218,11 @@ type affItem struct {
 // ordered by their value at the probe point fm (inside a milestone-free
 // interval the order is constant). Boundaries strictly below the earliest
 // release are dropped; duplicates (equal at fm, hence equal on the whole
-// interval) are merged. The returned slice is workspace scratch when p is
-// pooled: valid until the next exact refinement on the same workspace.
+// interval) are merged. The returned slice is workspace scratch, valid
+// until the next exact refinement on the same workspace.
 func (p *Problem) intervalAffines(fm float64) []rat.Affine {
-	var items []affItem
-	var out []rat.Affine
-	if p.ws != nil {
-		items, out = p.ws.exItems[:0], p.ws.exBounds[:0]
-	}
+	ws := p.pool()
+	items, out := ws.exItems[:0], ws.exBounds[:0]
 	minRel := math.Inf(1)
 	for k := range p.Tasks {
 		t := &p.Tasks[k]
@@ -272,8 +251,6 @@ func (p *Problem) intervalAffines(fm float64) []rat.Affine {
 		out = append(out, it.aff)
 		lastVal = it.val
 	}
-	if p.ws != nil {
-		p.ws.exItems, p.ws.exBounds = items, out
-	}
+	ws.exItems, ws.exBounds = items, out
 	return out
 }

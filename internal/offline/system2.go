@@ -20,14 +20,11 @@ import (
 // per unit of work.
 func (p *Problem) Refine(f float64) (*Alloc, error) {
 	n := len(p.Tasks)
-	var slot *Alloc
-	if p.ws != nil {
-		slot = &p.ws.allocRefine
-	}
+	ws := p.pool()
+	alloc := &ws.allocRefine
 	if n == 0 {
-		a := p.allocSlot(slot)
-		a.prepare(p, f, nil, 0, 0, 0)
-		return a, nil
+		alloc.prepare(p, f, nil, 0, 0, 0)
+		return alloc, nil
 	}
 	net := p.network(f)
 	m := p.Inst.Platform.NumMachines()
@@ -71,16 +68,13 @@ func (p *Problem) Refine(f float64) (*Alloc, error) {
 				length*p.Inst.Platform.Machine(model.MachineID(i)).Speed, 0)
 		}
 	}
-	if p.ws != nil {
-		p.ws.edges = edges
-	}
+	ws.edges = edges
 
 	shipped, _ := g.Run(src, sink)
 	if shipped < total*(1-1e-9)-1e-12 {
 		return nil, fmt.Errorf("offline: refine: stretch %v infeasible (%.9g of %.9g shipped)",
 			f, shipped, total)
 	}
-	alloc := p.allocSlot(slot)
 	alloc.prepare(p, f, net.bounds, nT, m, n)
 	for _, e := range edges {
 		if fl := g.EdgeFlow(e.id); fl > 0 {

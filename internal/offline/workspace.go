@@ -27,9 +27,11 @@ import (
 // distinct precisely so the online heuristics can hold a solver witness
 // while refining it.
 //
-// The zero-ws code paths (package-level FromInstance, Problem values built
-// by hand) behave exactly as before: every buffer is freshly allocated and
-// caller-owned.
+// Every solve runs on a workspace. A problem built without one
+// (package-level FromInstance, FromContext, FromInstanceWeighted, or a
+// Problem value built by hand) gets a private workspace at its first solve,
+// with the same ownership rules: two results of one kind on one problem
+// share a slot.
 type Workspace struct {
 	prob Problem // pooled problem bound by Problem/FromInstance/FromContext
 
@@ -116,26 +118,14 @@ func (ws *Workspace) EmptyPlan(m int) *sim.Plan {
 	return &ws.plan
 }
 
-// solution returns the workspace solution slot, or a fresh Solution for a
-// workspace-less problem.
-func (p *Problem) solution() *Solution {
-	if p.ws != nil {
-		p.ws.sol = Solution{}
-		return &p.ws.sol
-	}
-	return &Solution{}
+// solution stores s in the workspace's solution slot and returns it.
+func (p *Problem) solution(s Solution) *Solution {
+	ws := p.pool()
+	ws.sol = s
+	return &ws.sol
 }
 
-// allocSlot returns the requested pooled allocation slot, or a fresh Alloc
-// for a workspace-less problem.
-func (p *Problem) allocSlot(slot *Alloc) *Alloc {
-	if p.ws != nil && slot != nil {
-		return slot
-	}
-	return &Alloc{}
-}
-
-// prepare binds a (pooled or fresh) Alloc to problem p at stretch f with the
+// prepare binds a pooled Alloc slot to problem p at stretch f with the
 // given interval bounds, and zero-fills its nT×m×n work tensor reusing every
 // nested buffer. Bounds are copied: the pooled interval structure is
 // rebuilt by the next feasibility solve, but an Alloc must stay readable
@@ -169,13 +159,10 @@ func (a *Alloc) prepare(p *Problem, f float64, bounds []float64, nT, m, n int) {
 	}
 }
 
-// dinicGraph returns a flow network with n nodes and the given capacity
-// tolerance: the workspace's pooled graph, or a fresh one.
+// dinicGraph returns the workspace's Dinic network, reset to n nodes and
+// the given capacity tolerance.
 func (p *Problem) dinicGraph(n int, eps float64) *flow.Graph[float64] {
-	if p.ws == nil {
-		return flow.NewGraph[float64](lp.Float64Ops{Eps: eps}, n)
-	}
-	ws := p.ws
+	ws := p.pool()
 	ws.fops.Eps = eps
 	if ws.dinic == nil {
 		ws.dinic = flow.NewGraph[float64](&ws.fops, n)
@@ -187,29 +174,23 @@ func (p *Problem) dinicGraph(n int, eps float64) *flow.Graph[float64] {
 
 // mcGraph is dinicGraph for the min-cost solver of System (2).
 func (p *Problem) mcGraph(n int, eps float64) *flow.MinCost {
-	if p.ws == nil {
-		return flow.NewMinCost(n, eps)
-	}
-	if p.ws.mc == nil {
-		p.ws.mc = flow.NewMinCost(n, eps)
+	ws := p.pool()
+	if ws.mc == nil {
+		ws.mc = flow.NewMinCost(n, eps)
 	} else {
-		p.ws.mc.Reset(n, eps)
+		ws.mc.Reset(n, eps)
 	}
-	return p.ws.mc
+	return ws.mc
 }
 
-// binScratch returns a cleared node-used bitmap of length n and the edge
-// list scratch, pooled when a workspace is attached.
+// binScratch returns a cleared node-used bitmap of length n and the emptied
+// edge list scratch.
 func (p *Problem) binScratch(n int) ([]bool, []binEdge) {
-	if p.ws == nil {
-		return make([]bool, n), nil
+	ws := p.pool()
+	if cap(ws.binUsed) < n {
+		ws.binUsed = make([]bool, n)
 	}
-	if cap(p.ws.binUsed) < n {
-		p.ws.binUsed = make([]bool, n)
-	}
-	used := p.ws.binUsed[:n]
-	for i := range used {
-		used[i] = false
-	}
-	return used, p.ws.edges[:0]
+	used := ws.binUsed[:n]
+	clear(used)
+	return used, ws.edges[:0]
 }

@@ -7,10 +7,11 @@ import (
 )
 
 // TestWorkspaceMatchesFresh interleaves instances of different sizes through
-// one workspace and checks every solver product — optimal stretch, witness
-// allocation, System (2) refinement, realised plan — is identical to the
-// workspace-less path's. This is the semantic contract of the pooling: the
-// workspace only changes where buffers live.
+// one shared workspace and checks every solver product — optimal stretch,
+// witness allocation, System (2) refinement, realised plan — is identical
+// to that of a problem built without one, which solves on a fresh private
+// workspace. This is the semantic contract of the pooling: reusing the
+// workspace's grown and shrunk buffers only changes where they live.
 func TestWorkspaceMatchesFresh(t *testing.T) {
 	ws := NewWorkspace()
 	var solver Solver
@@ -82,8 +83,9 @@ func TestWorkspaceMatchesFresh(t *testing.T) {
 }
 
 // TestWorkspacePlannerMatchesFresh runs the full planned pipeline — engine,
-// planner, workspace — against the workspace-less package-level path on
-// interleaved instance sizes, for both the plain and refined planners.
+// planner, shared workspace — against a fresh engine and a planner on its
+// own private workspace, on interleaved instance sizes, for both the plain
+// and refined planners.
 func TestWorkspacePlannerMatchesFresh(t *testing.T) {
 	eng := sim.NewEngine()
 	ws := NewWorkspace()

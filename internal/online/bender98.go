@@ -30,21 +30,39 @@ type Bender98 struct {
 	ws       *offline.Workspace
 	deadline []float64
 	released int
+
+	// A failed offline solve keeps the previous deadlines; it is counted,
+	// never swallowed. The counter resets at Init.
+	stretchErrs int
+
+	solver offline.Solver                                                     // the zero value: float step 2
+	solve  func(*offline.Solver, *offline.Problem) (*offline.Solution, error) // test seam; nil means Solver.OptimalStretch
 }
 
 // NewBender98 returns the heuristic with the paper's α = √∆.
 func NewBender98() *Bender98 { return &Bender98{} }
 
-// SetWorkspace attaches a pooled solver workspace for the per-arrival
-// offline solves — the dominant cost of this algorithm (§5.3). Must not be
+// SetWorkspace attaches a shared solver workspace for the per-arrival
+// offline solves — the dominant cost of this algorithm (§5.3). A nil ws
+// gives the policy a private workspace at its next Init. Must not be
 // called mid-run.
 func (b *Bender98) SetWorkspace(ws *offline.Workspace) { b.ws = ws }
 
 // Name implements sim.Policy.
 func (b *Bender98) Name() string { return "Bender98" }
 
+// SolveFailures returns how many per-arrival offline solves failed — and
+// kept the previous deadlines — during the current run. Bender98 runs no
+// System (2), so refineErrs is always 0.
+func (b *Bender98) SolveFailures() (stretchErrs, refineErrs int) {
+	return b.stretchErrs, 0
+}
+
 // Init implements sim.Policy.
 func (b *Bender98) Init(inst *model.Instance) {
+	if b.ws == nil {
+		b.ws = offline.NewWorkspace()
+	}
 	n := inst.NumJobs()
 	if cap(b.deadline) < n {
 		b.deadline = make([]float64, n)
@@ -54,6 +72,7 @@ func (b *Bender98) Init(inst *model.Instance) {
 		b.deadline[j] = math.Inf(1)
 	}
 	b.released = 0
+	b.stretchErrs = 0
 }
 
 // OnEvent recomputes deadlines when new jobs have been released. A stream
@@ -75,12 +94,7 @@ func (b *Bender98) OnEvent(ctx *sim.Ctx) {
 	b.released = released
 
 	// Offline problem over all released jobs, from scratch.
-	var prob *offline.Problem
-	if b.ws != nil {
-		prob = b.ws.Problem(ctx.Inst)
-	} else {
-		prob = &offline.Problem{Inst: ctx.Inst}
-	}
+	prob := b.ws.Problem(ctx.Inst)
 	minAlone, maxAlone := math.Inf(1), 0.0
 	for j := range ctx.Released {
 		if !ctx.Released[j] {
@@ -98,10 +112,14 @@ func (b *Bender98) OnEvent(ctx *sim.Ctx) {
 			DeadB:   alone,
 		})
 	}
-	var solver offline.Solver
-	sol, err := solver.OptimalStretch(prob)
+	solve := b.solve
+	if solve == nil {
+		solve = (*offline.Solver).OptimalStretch
+	}
+	sol, err := solve(&b.solver, prob)
 	if err != nil {
-		return // keep previous deadlines on numeric failure
+		b.stretchErrs++ // keep previous deadlines on numeric failure
+		return
 	}
 	alpha := b.Alpha
 	if alpha == 0 {

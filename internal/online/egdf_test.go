@@ -83,7 +83,7 @@ func TestEGDFSurfacesRefineFailures(t *testing.T) {
 // workspace attached, replaying Online-EGDF through one engine must not
 // allocate at all in steady state — the rank map, the GlobalOrder output
 // and its sort scratch are all reused across arrival events and runs
-// (ROADMAP PR 2 follow-up; companion of TestOnlineWorkspaceReducesAllocs).
+// (companion of core.TestUnwiredSchedulersSteadyStateAllocs).
 func TestEGDFRankingSteadyStateAllocs(t *testing.T) {
 	inst := randomInstance(t, 97, 2, 2, 10)
 	eng := sim.NewEngine()
@@ -99,5 +99,42 @@ func TestEGDFRankingSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state EGDF run allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBender98SurfacesSolveFailures is the Bender98 counterpart of
+// TestEGDFSurfacesSolveFailures: a failed per-arrival offline solve keeps
+// the previous deadlines, but it is counted — so experiment diagnostics and
+// stretchd's /metrics see it — while the run still completes every job.
+func TestBender98SurfacesSolveFailures(t *testing.T) {
+	inst := randomInstance(t, 617, 2, 2, 8)
+	boom := errors.New("forced offline-solve failure")
+
+	b := NewBender98()
+	b.solve = func(*offline.Solver, *offline.Problem) (*offline.Solution, error) { return nil, boom }
+	sched, err := sim.RunList(inst, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, c := range sched.Completion {
+		if c <= 0 {
+			t.Fatalf("job %d never completed despite the kept deadlines", j)
+		}
+	}
+	if se, re := b.SolveFailures(); se == 0 || re != 0 {
+		t.Fatalf("SolveFailures = (%d, %d), want forced step-2 failures counted and no refine failures", se, re)
+	}
+
+	// Counters are per-run: Init clears them, and a healthy run counts none.
+	b.Init(inst)
+	if se, re := b.SolveFailures(); se != 0 || re != 0 {
+		t.Fatalf("Init left counters (%d, %d)", se, re)
+	}
+	b.solve = nil
+	if _, err := sim.RunList(inst, b); err != nil {
+		t.Fatal(err)
+	}
+	if se, _ := b.SolveFailures(); se != 0 {
+		t.Fatalf("healthy run counted %d step-2 failures", se)
 	}
 }

@@ -66,10 +66,10 @@ type Heuristic struct {
 	lastRefineErr error
 }
 
-// SetWorkspace attaches a pooled solver workspace: every per-arrival
-// re-optimisation then reuses one set of problem/flow/allocation/plan
-// buffers instead of rebuilding them (see offline.Workspace). Must not be
-// called mid-run.
+// SetWorkspace attaches a shared solver workspace: every per-arrival
+// re-optimisation reuses its one set of problem/flow/allocation/plan
+// buffers (see offline.Workspace). A nil ws gives the heuristic a private
+// workspace at its next Init. Must not be called mid-run.
 func (h *Heuristic) SetWorkspace(ws *offline.Workspace) { h.ws = ws }
 
 // New returns an optimised online heuristic of the given variant.
@@ -112,6 +112,9 @@ func (h *Heuristic) SolveFailures() (stretchErrs, refineErrs int) {
 
 // Init implements sim.Planner.
 func (h *Heuristic) Init(*model.Instance) {
+	if h.ws == nil {
+		h.ws = offline.NewWorkspace()
+	}
 	h.lastStretch = 0
 	h.refineErrs = 0
 	h.lastRefineErr = nil
@@ -121,17 +124,9 @@ func (h *Heuristic) Init(*model.Instance) {
 // at every job arrival, which realises the paper's "preempt and recompute on
 // every release" loop.
 func (h *Heuristic) Plan(ctx *sim.Ctx) (*sim.Plan, error) {
-	var prob *offline.Problem
-	if h.ws != nil {
-		prob = h.ws.FromContext(ctx)
-	} else {
-		prob = offline.FromContext(ctx)
-	}
+	prob := h.ws.FromContext(ctx)
 	if len(prob.Tasks) == 0 {
-		if h.ws != nil {
-			return h.ws.EmptyPlan(ctx.Inst.Platform.NumMachines()), nil
-		}
-		return sim.NewPlan(ctx.Inst.Platform.NumMachines()), nil
+		return h.ws.EmptyPlan(ctx.Inst.Platform.NumMachines()), nil
 	}
 	sol, err := h.Solver.OptimalStretch(prob)
 	if err != nil {
@@ -142,11 +137,6 @@ func (h *Heuristic) Plan(ctx *sim.Ctx) (*sim.Plan, error) {
 	alloc := sol.Alloc
 	if h.Optimized {
 		refined, err := prob.Refine(sol.Stretch)
-		if err != nil {
-			// Borderline feasibility at S* can trip the min-cost solver's
-			// tolerance; retry with a hair of slack before giving up.
-			refined, err = prob.Refine(sol.Stretch * (1 + 1e-9))
-		}
 		h.lastRefineErr = err
 		if err == nil {
 			alloc = refined
@@ -185,9 +175,8 @@ type EGDF struct {
 
 	// Per-event solver failures are fallbacks by design (the previous
 	// priority order keeps the simulation running), but they are recorded,
-	// never swallowed — the policy counterpart of the planner's RefineErr
-	// seam. Counters reset at Init; cmd/experiments aggregates them as
-	// grid diagnostics.
+	// never swallowed. Counters reset at Init; cmd/experiments aggregates
+	// them as grid diagnostics.
 	stretchErrs    int
 	refineErrs     int
 	lastStretchErr error
@@ -200,8 +189,9 @@ type EGDF struct {
 // NewEGDF returns an Online-EGDF policy.
 func NewEGDF() *EGDF { return &EGDF{} }
 
-// SetWorkspace attaches a pooled solver workspace for the per-arrival
-// re-optimisations. Must not be called mid-run.
+// SetWorkspace attaches a shared solver workspace for the per-arrival
+// re-optimisations. A nil ws gives the policy a private workspace at its
+// next Init. Must not be called mid-run.
 func (e *EGDF) SetWorkspace(ws *offline.Workspace) { e.ws = ws }
 
 // Name implements sim.Policy.
@@ -224,6 +214,9 @@ func (e *EGDF) LastRefineErr() error { return e.lastRefineErr }
 
 // Init implements sim.Policy.
 func (e *EGDF) Init(*model.Instance) {
+	if e.ws == nil {
+		e.ws = offline.NewWorkspace()
+	}
 	clear(e.rank)
 	e.hasRank = false
 	e.released = 0
@@ -246,12 +239,7 @@ func (e *EGDF) OnEvent(ctx *sim.Ctx) {
 	}
 	e.released = released
 
-	var prob *offline.Problem
-	if e.ws != nil {
-		prob = e.ws.FromContext(ctx)
-	} else {
-		prob = offline.FromContext(ctx)
-	}
+	prob := e.ws.FromContext(ctx)
 	if len(prob.Tasks) == 0 {
 		clear(e.rank)
 		e.hasRank = true

@@ -8,7 +8,7 @@ import "fmt"
 // absorb), and how many demoted below it (Reduce pulling values back down
 // after cancellation). The counters are plain uint64s — callers that share
 // a TierStats across goroutines must provide their own synchronisation; the
-// intended owner is a single-threaded solver workspace (lp.Workspace).
+// intended owner is a single-threaded solver workspace (offline.Workspace).
 type TierStats struct {
 	// Ops counts results by tier: Ops[TierSmall], Ops[TierMedium],
 	// Ops[TierBig].
