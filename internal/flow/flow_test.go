@@ -3,6 +3,7 @@ package flow
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"stretchsched/internal/lp"
@@ -201,6 +202,51 @@ func TestMinCostPrefersCheapPath(t *testing.T) {
 	}
 	if g.EdgeFlow(exp) > 1e-9 || math.Abs(g.EdgeFlow(cheap)-6) > 1e-9 {
 		t.Fatal("expensive path used unnecessarily")
+	}
+}
+
+// TestMinCostQueueOrder drives the Dijkstra queue, the repository's one
+// heap, directly: under random interleaved pushes and pops (with tied
+// distances), every pop is no larger than anything left in the queue, and
+// the popped multiset equals the pushed one. A sift-down that stops early
+// (the shape of a past cluster-queue bug) fails it.
+func TestMinCostQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := NewMinCost(0, 0)
+	var pushed, popped []pqItem
+	pop := func() {
+		it := g.pqPop()
+		for _, rest := range g.pq {
+			if rest.dist < it.dist {
+				t.Fatalf("popped %v while %v was still queued", it, rest)
+			}
+		}
+		popped = append(popped, it)
+	}
+	for i := 0; i < 2000; i++ {
+		if len(g.pq) == 0 || rng.Intn(3) > 0 {
+			it := pqItem{node: int32(i), dist: float64(rng.Intn(64))}
+			g.pqPush(it)
+			pushed = append(pushed, it)
+		} else {
+			pop()
+		}
+	}
+	for len(g.pq) > 0 {
+		pop()
+	}
+	byNode := func(s []pqItem) {
+		sort.Slice(s, func(a, b int) bool { return s[a].node < s[b].node })
+	}
+	byNode(pushed)
+	byNode(popped)
+	if len(popped) != len(pushed) {
+		t.Fatalf("popped %d of %d pushed", len(popped), len(pushed))
+	}
+	for i := range pushed {
+		if pushed[i] != popped[i] {
+			t.Fatalf("multiset mismatch at %d: pushed %v, popped %v", i, pushed[i], popped[i])
+		}
 	}
 }
 
