@@ -40,41 +40,22 @@ type pendingArrival struct {
 	g model.JobID
 }
 
+// pendingPush inserts p into w.pending, which is kept sorted by descending
+// (t, g) so that the next arrival is the last element. A job is pending at
+// most once, so (t, g) is a total order over the slice.
 func (w *World) pendingPush(p pendingArrival) {
-	w.pending = append(w.pending, p)
-	i := len(w.pending) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pendingLess(w.pending[i], w.pending[parent]) {
-			break
-		}
-		w.pending[i], w.pending[parent] = w.pending[parent], w.pending[i]
-		i = parent
-	}
+	i := sort.Search(len(w.pending), func(k int) bool { return pendingLess(w.pending[k], p) })
+	w.pending = append(w.pending, pendingArrival{})
+	copy(w.pending[i+1:], w.pending[i:])
+	w.pending[i] = p
 }
 
+// pendingPop removes and returns the next arrival.
 func (w *World) pendingPop() pendingArrival {
-	top := w.pending[0]
 	last := len(w.pending) - 1
-	w.pending[0] = w.pending[last]
+	p := w.pending[last]
 	w.pending = w.pending[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(w.pending) && pendingLess(w.pending[l], w.pending[small]) {
-			small = l
-		}
-		if r < len(w.pending) && pendingLess(w.pending[r], w.pending[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		w.pending[i], w.pending[small] = w.pending[small], w.pending[i]
-		i = small
-	}
-	return top
+	return p
 }
 
 func pendingLess(a, b pendingArrival) bool {
@@ -105,8 +86,10 @@ func (w *World) run() (*model.ClusterSchedule, error) {
 	for range w.ci.Jobs {
 		w.attempts = append(w.attempts, 0)
 	}
+	// Instance order is (release, ID) order, so pushing in reverse lands
+	// every first arrival at the end of the queue.
 	w.pending = w.pending[:0]
-	for gj := range w.ci.Jobs {
+	for gj := len(w.ci.Jobs) - 1; gj >= 0; gj-- {
 		w.pendingPush(pendingArrival{t: w.ci.Jobs[gj].Release, g: model.JobID(gj)})
 	}
 
@@ -145,8 +128,8 @@ func (w *World) run() (*model.ClusterSchedule, error) {
 		if mi < len(events) {
 			tEvt = events[mi].t
 		}
-		if len(w.pending) > 0 {
-			tArr = w.pending[0].t
+		if n := len(w.pending); n > 0 {
+			tArr = w.pending[n-1].t
 		}
 		t := tEvt
 		if tArr < t {
@@ -226,13 +209,14 @@ func (w *World) run() (*model.ClusterSchedule, error) {
 var ErrClockBackwards = errors.New("cluster: event instant precedes the previous one")
 
 // advanceAll moves every node's clock to t, committing completions at
-// their predicted instants exactly as the serving loop does, and records
-// them into cs (nil when the final schedules come from the per-node batch
-// runs). t = +Inf drains completions without advancing the clocks past the
+// their predicted instants through the serving loop's completion step
+// (sim.Driver.AdvanceToNext), and records them into cs (nil when the final
+// schedules come from the per-node batch runs). The recorded instant is
+// the predicted one, not the driver's Now(), which can land one ulp past
+// it. t = +Inf drains completions without advancing the clocks past the
 // last one. A t before the previous event instant is ErrClockBackwards.
-// The check reads the world's own event clock, not a driver's Now():
-// Driver.Advance computes Now + (t - Now), which can land one ulp past t,
-// so a same-instant event would trip a driver-clock check.
+// The check reads the world's own event clock, not a driver's Now(), for
+// the same reason: a same-instant event would trip a driver-clock check.
 func (w *World) advanceAll(t float64, cs *model.ClusterSchedule) error {
 	if t < w.clock {
 		return ErrClockBackwards
@@ -240,12 +224,9 @@ func (w *World) advanceAll(t float64, cs *model.ClusterSchedule) error {
 	w.clock = t
 	for ni, n := range w.nodes {
 		for {
-			id, at, ok := n.drv.NextCompletion()
-			if !ok || at > t {
+			id, at, ok := n.drv.AdvanceToNext(t)
+			if !ok {
 				break
-			}
-			if dt := at - n.drv.Now(); dt > 0 {
-				n.drv.Advance(dt)
 			}
 			g := n.globalOf[id]
 			n.drv.Complete(id)
@@ -261,16 +242,13 @@ func (w *World) advanceAll(t float64, cs *model.ClusterSchedule) error {
 				n.drv.Replan(n.pol)
 			}
 		}
-		if t < inf() && t > n.drv.Now() {
-			n.drv.Advance(t - n.drv.Now())
-		}
 	}
 	return nil
 }
 
 // failNode marks node ni down at instant t and fails every job still
 // active on it: completed-so-far work is lost and each job re-enters the
-// pending heap after its backoff, to be re-placed from scratch.
+// pending queue after its backoff, to be re-placed from scratch.
 func (w *World) failNode(ni int, t float64) {
 	w.nodeDown[ni] = true
 	n := w.nodes[ni]

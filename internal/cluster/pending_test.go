@@ -13,9 +13,10 @@ import (
 )
 
 // TestPendingHeapOrder: interleaved out-of-order pushes pop back in
-// strict (t, g) order. Regression for a sift-down that never descended
-// below the root, which let later arrivals pop before earlier ones and
-// fed the event loop times that ran backwards.
+// strict (t, g) order. Regression for the pending queue's former heap,
+// whose sift-down never descended below the root, which let later
+// arrivals pop before earlier ones and fed the event loop times that ran
+// backwards.
 func TestPendingHeapOrder(t *testing.T) {
 	w := &World{}
 	for g, rel := range []float64{1, 2, 3, 10, 11, 12, 13} {
@@ -33,7 +34,7 @@ func TestPendingHeapOrder(t *testing.T) {
 
 // TestPendingHeapRandomized: pushes and pops interleave under random
 // times (retries land mid-drain, as failNode does); every pop must
-// return the minimum of what the heap holds at that instant, and the
+// return the minimum of what the queue holds at that instant, and the
 // popped multiset must equal the pushed one.
 func TestPendingHeapRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -48,7 +49,7 @@ func TestPendingHeapRandomized(t *testing.T) {
 			p := w.pendingPop()
 			for _, rest := range w.pending {
 				if pendingLess(rest, p) {
-					t.Fatalf("popped %v while %v was still in the heap", p, rest)
+					t.Fatalf("popped %v while %v was still queued", p, rest)
 				}
 			}
 			popped = append(popped, p)
@@ -58,7 +59,7 @@ func TestPendingHeapRandomized(t *testing.T) {
 		p := w.pendingPop()
 		for _, rest := range w.pending {
 			if pendingLess(rest, p) {
-				t.Fatalf("popped %v while %v was still in the heap", p, rest)
+				t.Fatalf("popped %v while %v was still queued", p, rest)
 			}
 		}
 		popped = append(popped, p)
@@ -77,7 +78,7 @@ func TestPendingHeapRandomized(t *testing.T) {
 
 // TestAdvanceAllClockBackwards: an event instant before the previous one
 // is a typed error, not a silent skip that would hide an out-of-order
-// event source like the heap bug above, while a repeated instant stays
+// event source like the queue bug above, while a repeated instant stays
 // legal.
 func TestAdvanceAllClockBackwards(t *testing.T) {
 	inst, err := workload.Config{

@@ -88,7 +88,7 @@ type World struct {
 	clock float64
 
 	// Fault injection (nil plan = the perfect world of PR 9). All per-run
-	// fault state (down flags, attempt counts, stats, the pending heap)
+	// fault state (down flags, attempt counts, stats, the pending queue)
 	// is reset at every Run, so reused worlds stay bitwise reproducible.
 	plan     *fault.Plan
 	backoff  fault.Backoff

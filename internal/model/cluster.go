@@ -29,10 +29,11 @@ func NewClusterInstance(nodes []*Platform, jobs []Job) (*ClusterInstance, error)
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("model: cluster needs at least one node")
 	}
-	minBanks := nodes[0].NumDatabanks()
+	// A databank every node knows is one the node with the fewest knows.
+	narrowest := nodes[0]
 	for _, p := range nodes[1:] {
-		if b := p.NumDatabanks(); b < minBanks {
-			minBanks = b
+		if p.NumDatabanks() < narrowest.NumDatabanks() {
+			narrowest = p
 		}
 	}
 	js := append([]Job(nil), jobs...)
@@ -44,14 +45,8 @@ func NewClusterInstance(nodes []*Platform, jobs []Job) (*ClusterInstance, error)
 		if j.Name == "" {
 			j.Name = fmt.Sprintf("J%d", i+1)
 		}
-		if j.Size <= 0 || math.IsNaN(j.Size) || math.IsInf(j.Size, 0) {
-			return nil, fmt.Errorf("model: cluster job %d has invalid size %v", i, j.Size)
-		}
-		if j.Release < 0 || math.IsNaN(j.Release) {
-			return nil, fmt.Errorf("model: cluster job %d has invalid release %v", i, j.Release)
-		}
-		if j.Databank < 0 || int(j.Databank) >= minBanks {
-			return nil, fmt.Errorf("model: cluster job %d references databank %d unknown to some node", i, j.Databank)
+		if err := ValidateJob(narrowest, *j); err != nil {
+			return nil, fmt.Errorf("model: cluster job %d: %w", i, err)
 		}
 	}
 	return ci, nil

@@ -170,14 +170,8 @@ func NewInstance(p *Platform, jobs []Job) (*Instance, error) {
 		if j.Name == "" {
 			j.Name = fmt.Sprintf("J%d", i+1)
 		}
-		if j.Size <= 0 || math.IsNaN(j.Size) || math.IsInf(j.Size, 0) {
-			return nil, fmt.Errorf("model: job %d has invalid size %v", i, j.Size)
-		}
-		if j.Release < 0 || math.IsNaN(j.Release) {
-			return nil, fmt.Errorf("model: job %d has invalid release %v", i, j.Release)
-		}
-		if j.Databank < 0 || int(j.Databank) >= p.NumDatabanks() {
-			return nil, fmt.Errorf("model: job %d references unknown databank %d", i, j.Databank)
+		if err := ValidateJob(p, *j); err != nil {
+			return nil, fmt.Errorf("model: job %d: %w", i, err)
 		}
 	}
 	inst.alone = make([]float64, len(inst.Jobs))
@@ -185,6 +179,22 @@ func NewInstance(p *Platform, jobs []Job) (*Instance, error) {
 		inst.alone[i] = inst.Jobs[i].Size / p.AggregateSpeed(inst.Jobs[i].Databank)
 	}
 	return inst, nil
+}
+
+// ValidateJob is the one job-validity rule: a positive finite size, a
+// nonnegative release and a databank that platform p knows. NewInstance,
+// Stream and the serving daemon's admission all apply it.
+func ValidateJob(p *Platform, j Job) error {
+	if j.Size <= 0 || math.IsNaN(j.Size) || math.IsInf(j.Size, 0) {
+		return fmt.Errorf("invalid size %v", j.Size)
+	}
+	if j.Release < 0 || math.IsNaN(j.Release) {
+		return fmt.Errorf("invalid release %v", j.Release)
+	}
+	if j.Databank < 0 || int(j.Databank) >= p.NumDatabanks() {
+		return fmt.Errorf("unknown databank %d", j.Databank)
+	}
+	return nil
 }
 
 // NumJobs returns n.

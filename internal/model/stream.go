@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Stream maintains a live, bounded-memory Instance over an open-ended job
 // stream — the substrate of the serving daemon (internal/serve), where jobs
@@ -35,26 +32,12 @@ func NewStream(p *Platform) *Stream {
 	return &Stream{inst: Instance{Platform: p}}
 }
 
-// validateStreamJob mirrors NewInstance's per-job validation.
-func (s *Stream) validateStreamJob(j Job) error {
-	if j.Size <= 0 || math.IsNaN(j.Size) || math.IsInf(j.Size, 0) {
-		return fmt.Errorf("model: stream job has invalid size %v", j.Size)
-	}
-	if j.Release < 0 || math.IsNaN(j.Release) {
-		return fmt.Errorf("model: stream job has invalid release %v", j.Release)
-	}
-	if j.Databank < 0 || int(j.Databank) >= s.inst.Platform.NumDatabanks() {
-		return fmt.Errorf("model: stream job references unknown databank %d", j.Databank)
-	}
-	return nil
-}
-
 // Add validates j, assigns it a slot (recycled first) and returns the slot
 // ID, which is stable until Remove. The job's ID field is overwritten with
 // the assigned slot; an empty Name gets the slot-derived default.
 func (s *Stream) Add(j Job) (JobID, error) {
-	if err := s.validateStreamJob(j); err != nil {
-		return 0, err
+	if err := ValidateJob(s.inst.Platform, j); err != nil {
+		return 0, fmt.Errorf("model: stream job: %w", err)
 	}
 	var id JobID
 	if n := len(s.free); n > 0 {
@@ -139,7 +122,7 @@ func (s *Stream) Restore(slots []Job, live []bool, free []JobID) error {
 		if !live[i] {
 			continue
 		}
-		if err := s.validateStreamJob(slots[i]); err != nil {
+		if err := ValidateJob(s.inst.Platform, slots[i]); err != nil {
 			return fmt.Errorf("model: stream restore slot %d: %w", i, err)
 		}
 		s.inst.Jobs[i].ID = JobID(i)

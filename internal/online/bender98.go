@@ -30,6 +30,7 @@ type Bender98 struct {
 	ws       *offline.Workspace
 	deadline []float64
 	released int
+	arrivals int // ctx.Arrivals at the last OnEvent
 
 	// A failed offline solve keeps the previous deadlines; it is counted,
 	// never swallowed. The counter resets at Init.
@@ -71,13 +72,14 @@ func (b *Bender98) Init(inst *model.Instance) {
 	for j := range b.deadline {
 		b.deadline[j] = math.Inf(1)
 	}
-	b.released = 0
+	b.released, b.arrivals = 0, 0
 	b.stretchErrs = 0
 }
 
-// OnEvent recomputes deadlines when new jobs have been released. A stream
-// adds job slots after Init, so the deadline table grows to the slot count
-// first; a batch run sized it in Init.
+// OnEvent recomputes deadlines when the released set changed: its count
+// moved, or jobs arrived since the last OnEvent (ctx.Arrivals, as in
+// EGDF.OnEvent). A stream adds job slots after Init, so the deadline table
+// grows to the slot count first; a batch run sized it in Init.
 func (b *Bender98) OnEvent(ctx *sim.Ctx) {
 	for len(b.deadline) < len(ctx.Released) {
 		b.deadline = append(b.deadline, math.Inf(1))
@@ -88,10 +90,10 @@ func (b *Bender98) OnEvent(ctx *sim.Ctx) {
 			released++
 		}
 	}
-	if released == b.released {
+	if released == b.released && ctx.Arrivals == b.arrivals {
 		return
 	}
-	b.released = released
+	b.released, b.arrivals = released, ctx.Arrivals
 
 	// Offline problem over all released jobs, from scratch.
 	prob := b.ws.Problem(ctx.Inst)

@@ -2,8 +2,10 @@ package online
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"stretchsched/internal/model"
 	"stretchsched/internal/offline"
 	"stretchsched/internal/sim"
 )
@@ -136,5 +138,80 @@ func TestBender98SurfacesSolveFailures(t *testing.T) {
 	}
 	if se, _ := b.SolveFailures(); se != 0 {
 		t.Fatalf("healthy run counted %d step-2 failures", se)
+	}
+}
+
+// TestMissedArrivalIntoRecycledSlotResolves: on a stream, a policy can
+// miss events while the serving backlog guard runs its fallback. Here a
+// completion and an arrival into the freed slot happen between two
+// OnEvents, so the live count is the one the policy last saw. Online-EGDF
+// and Bender98 must still re-solve, counted through the solve seam: their
+// ranks and deadlines describe the slot's previous job.
+func TestMissedArrivalIntoRecycledSlotResolves(t *testing.T) {
+	p, err := model.Uniform([]float64{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func(seam func(*offline.Solver, *offline.Problem) (*offline.Solution, error)) sim.Policy
+	}{
+		{"Online-EGDF", func(seam func(*offline.Solver, *offline.Problem) (*offline.Solution, error)) sim.Policy {
+			e := NewEGDF()
+			e.solve = seam
+			return e
+		}},
+		{"Bender98", func(seam func(*offline.Solver, *offline.Problem) (*offline.Solution, error)) sim.Policy {
+			b := NewBender98()
+			b.solve = seam
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			solves := 0
+			pol := tc.mk(func(s *offline.Solver, prob *offline.Problem) (*offline.Solution, error) {
+				solves++
+				return s.OptimalStretch(prob)
+			})
+			st := model.NewStream(p)
+			pol.Init(st.Instance())
+			d := sim.NewDriver(st.Instance())
+			arrive := func(size float64) model.JobID {
+				id, err := st.Add(model.Job{Release: d.Now(), Size: size, Databank: 0})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.Arrive(id, size)
+				return id
+			}
+			arrive(4)
+			arrive(8)
+			d.Replan(pol)
+			if solves != 1 {
+				t.Fatalf("%d solves after the first two arrivals, want 1", solves)
+			}
+			// Another policy serves the gap: one job completes and a new
+			// job takes its slot, all without an OnEvent of pol.
+			id, _, ok := d.AdvanceToNext(math.Inf(1))
+			if !ok {
+				t.Fatal("nothing running after the first replan")
+			}
+			d.Complete(id)
+			if err := st.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			if got := arrive(1); got != id {
+				t.Fatalf("new job in slot %d, want recycled slot %d", got, id)
+			}
+			d.Replan(pol)
+			if solves != 2 {
+				t.Fatalf("%d solves after a missed arrival into a recycled slot, want 2", solves)
+			}
+			// No event since: nothing to re-solve.
+			d.Replan(pol)
+			if solves != 2 {
+				t.Fatalf("%d solves after an event-free replan, want 2", solves)
+			}
+		})
 	}
 }

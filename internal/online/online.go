@@ -172,6 +172,7 @@ type EGDF struct {
 	order    []model.JobID // pooled GlobalOrder output
 	hasRank  bool
 	released int
+	arrivals int // ctx.Arrivals at the last OnEvent
 
 	// Per-event solver failures are fallbacks by design (the previous
 	// priority order keeps the simulation running), but they are recorded,
@@ -219,12 +220,17 @@ func (e *EGDF) Init(*model.Instance) {
 	}
 	clear(e.rank)
 	e.hasRank = false
-	e.released = 0
+	e.released, e.arrivals = 0, 0
 	e.stretchErrs, e.refineErrs = 0, 0
 	e.lastStretchErr, e.lastRefineErr = nil, nil
 }
 
-// OnEvent recomputes the global priority list whenever new jobs arrived.
+// OnEvent recomputes the global priority list whenever the released set
+// changed. A stream clears a completed job's Released flag, so the count
+// alone can return to the value this policy last saw while another
+// policy (the serving backlog guard's fallback) ran the events between;
+// ctx.Arrivals catches the arrivals of such a gap, whose slots the old
+// ranks may no longer describe.
 //
 //stretch:noalloc
 func (e *EGDF) OnEvent(ctx *sim.Ctx) {
@@ -234,10 +240,10 @@ func (e *EGDF) OnEvent(ctx *sim.Ctx) {
 			released++
 		}
 	}
-	if released == e.released && e.hasRank {
+	if released == e.released && ctx.Arrivals == e.arrivals && e.hasRank {
 		return // completions do not change the order
 	}
-	e.released = released
+	e.released, e.arrivals = released, ctx.Arrivals
 
 	prob := e.ws.FromContext(ctx)
 	if len(prob.Tasks) == 0 {

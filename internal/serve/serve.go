@@ -7,7 +7,7 @@
 //
 // The loop is deterministic by construction: virtual time advances only to
 // event instants, completions are committed at exactly the predicted
-// instants (ties by lowest slot), and every decision is appended to a
+// instants (ties in priority order), and every decision is appended to a
 // decision log whose byte content a checkpoint-restored daemon reproduces
 // exactly (see Checkpoint). The per-event re-optimisation keeps no solver
 // state across events, and its decision-relevant output is the optimal
@@ -348,9 +348,10 @@ type SubmitResult struct {
 	Release float64
 }
 
-// Submit admits one job: the loop advances virtual time to the effective
-// release (committing any completions due before it), assigns a stream
-// slot, logs the arrival, and replans.
+// Submit admits one job: the loop validates it, advances virtual time to
+// the effective release (committing any completions due by then), assigns
+// a stream slot, logs the arrival, and replans. A rejected job leaves the
+// loop as it was.
 func (l *Loop) Submit(req SubmitRequest) (res SubmitResult, err error) {
 	if err := l.acquire(0); err != nil {
 		return SubmitResult{}, err
@@ -369,18 +370,17 @@ func (l *Loop) Submit(req SubmitRequest) (res SubmitResult, err error) {
 	if rel < l.drv.Now() {
 		rel = l.drv.Now()
 	}
+	job := model.Job{Name: req.Name, Release: rel, Size: req.Size, Databank: req.Databank}
+	if err := model.ValidateJob(l.cfg.Platform, job); err != nil {
+		l.countReject(CodeInvalid)
+		return SubmitResult{}, reject(CodeInvalid, "%v", err)
+	}
 	if err := l.advanceTo(rel); err != nil {
 		return SubmitResult{}, err
 	}
-	id, err := l.stream.Add(model.Job{
-		Name:     req.Name,
-		Release:  rel,
-		Size:     req.Size,
-		Databank: req.Databank,
-	})
+	id, err := l.stream.Add(job)
 	if err != nil {
-		l.countReject(CodeInvalid)
-		return SubmitResult{}, reject(CodeInvalid, "%v", err)
+		return SubmitResult{}, fmt.Errorf("serve: admitting a validated job: %w", err)
 	}
 	seq := l.seq
 	l.seq++
@@ -412,27 +412,18 @@ func (l *Loop) syncClock() {
 }
 
 // advanceTo moves virtual time to t, committing every completion predicted
-// before it (ties by lowest slot, one replan per completion).
+// at or before it (ties in priority order, one replan per completion).
 func (l *Loop) advanceTo(t float64) error {
 	for {
-		id, at, ok := l.drv.NextCompletion()
-		if !ok || at > t {
-			break
+		id, _, ok := l.drv.AdvanceToNext(t)
+		if !ok {
+			return nil
 		}
-		dt := at - l.drv.Now()
-		if dt < 0 {
-			dt = 0
-		}
-		l.drv.Advance(dt)
 		if err := l.complete(id); err != nil {
 			return err
 		}
 		l.replan()
 	}
-	if t > l.drv.Now() {
-		l.drv.Advance(t - l.drv.Now())
-	}
-	return nil
 }
 
 // complete retires slot id at the current instant.
@@ -674,15 +665,10 @@ func (l *Loop) Drain() (err error) {
 	l.draining = true
 	for l.drv.NumActive() > 0 {
 		l.drv.Replan(l.activePolicy())
-		id, at, ok := l.drv.NextCompletion()
+		id, _, ok := l.drv.AdvanceToNext(math.Inf(1))
 		if !ok {
 			return reject(CodeExhausted, "%d active jobs but nothing running", l.drv.NumActive())
 		}
-		dt := at - l.drv.Now()
-		if dt < 0 {
-			dt = 0
-		}
-		l.drv.Advance(dt)
 		if err := l.complete(id); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -442,6 +443,49 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	}
 	if snap.Counters.Rejected[CodeDraining] != 1 {
 		t.Fatalf("draining rejections = %d, want 1", snap.Counters.Rejected[CodeDraining])
+	}
+}
+
+// TestRejectedSubmitLeavesLoopUnchanged: an invalid submission is refused
+// before the loop moves. A far-future release must not advance the clock,
+// commit completions or write decisions on the way to its refusal.
+func TestRejectedSubmitLeavesLoopUnchanged(t *testing.T) {
+	inst := testWorkload(t)
+	var log bytes.Buffer
+	loop, err := New(egdfExactConfig(t, inst, &log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, loop, inst.Jobs[:6])
+	before, err := loop.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBefore := append([]byte(nil), log.Bytes()...)
+	for _, req := range []SubmitRequest{
+		{Size: 10, Databank: 999, Release: before.Now + 1e6},
+		{Size: -1, Databank: 0, Release: before.Now + 1e6},
+		{Size: 10, Databank: 0, Release: math.NaN()},
+	} {
+		_, err := loop.Submit(req)
+		var rej *Rejection
+		if !errors.As(err, &rej) || rej.Code != CodeInvalid {
+			t.Fatalf("Submit(%+v) error = %v, want %s", req, err, CodeInvalid)
+		}
+	}
+	after, err := loop.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Now != before.Now || after.Counters.CompletedN != before.Counters.CompletedN {
+		t.Fatalf("rejected submissions moved the loop: now %v -> %v, completed %d -> %d",
+			before.Now, after.Now, before.Counters.CompletedN, after.Counters.CompletedN)
+	}
+	if !bytes.Equal(log.Bytes(), logBefore) {
+		t.Fatalf("rejected submissions appended %d decision-log bytes", log.Len()-len(logBefore))
+	}
+	if after.Counters.Rejected[CodeInvalid] != 3 {
+		t.Fatalf("invalid rejections = %d, want 3", after.Counters.Rejected[CodeInvalid])
 	}
 }
 

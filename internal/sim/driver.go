@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"slices"
 
 	"stretchsched/internal/model"
 )
@@ -60,22 +59,21 @@ func (d *Driver) Ctx() *Ctx { return &d.ctx }
 func (d *Driver) Now() float64 { return d.ctx.Now }
 
 // SetNow jumps the clock without serving work — initialization and
-// checkpoint restore only; use Advance to move time under the current
-// allocation.
+// checkpoint restore only; use AdvanceToNext to move time under the
+// current allocation.
 func (d *Driver) SetNow(t float64) { d.ctx.Now = t }
 
 // Arrive marks slot id released with the given remaining work and inserts
 // it into the active set. Slot recycling means id may be lower than
-// existing active IDs, so insertion is by binary search, keeping the set
-// in ID order as every Ctx consumer assumes.
+// existing active IDs; the set stays in ID order as every Ctx consumer
+// assumes.
 func (d *Driver) Arrive(id model.JobID, work float64) {
 	d.Sync()
 	d.ctx.Released[id] = true
 	d.ctx.Done[id] = false
 	d.ctx.Remaining[id] = work
 	d.rate[id] = 0
-	i, _ := slices.BinarySearch(d.ctx.active, id)
-	d.ctx.active = slices.Insert(d.ctx.active, i, id)
+	d.ctx.addActive(id)
 }
 
 // Complete retires slot id from the active set and clears its released
@@ -86,9 +84,7 @@ func (d *Driver) Complete(id model.JobID) {
 	d.ctx.Done[id] = false
 	d.ctx.Remaining[id] = 0
 	d.rate[id] = 0
-	if i, ok := slices.BinarySearch(d.ctx.active, id); ok {
-		d.ctx.active = slices.Delete(d.ctx.active, i, i+1)
-	}
+	d.ctx.dropActive(id)
 }
 
 // NumActive returns the number of released, unfinished jobs.
@@ -97,7 +93,7 @@ func (d *Driver) NumActive() int { return len(d.ctx.active) }
 // Replan runs one engine decision step at the current instant: the
 // policy's OnEvent refresh, the priority sort, and the §3 greedy
 // allocation. After it returns, Running/Rate/Assign describe the chosen
-// placement until the next Replan or Advance.
+// placement until the next Replan.
 func (d *Driver) Replan(pol Policy) {
 	pol.OnEvent(&d.ctx)
 	d.order = append(d.order[:0], d.ctx.active...)
@@ -119,11 +115,33 @@ func (d *Driver) Rate(id model.JobID) float64 { return d.rate[id] }
 // Remaining returns slot id's remaining work.
 func (d *Driver) Remaining(id model.JobID) float64 { return d.ctx.Remaining[id] }
 
-// NextCompletion returns the earliest predicted completion instant among
-// running jobs at current rates, ties broken by lowest slot ID — the
-// deterministic event order the serving loop commits to its decision log.
-// ok is false when nothing is running.
-func (d *Driver) NextCompletion() (id model.JobID, at float64, ok bool) {
+// AdvanceToNext is the stream loops' one completion step. When the
+// earliest predicted completion at the last Replan's rates falls at or
+// before t, it serves work up to that instant and returns the completing
+// job and its predicted instant at, which the caller retires with
+// Complete. Otherwise it serves work up to t when t is finite and returns
+// ok = false. The clock then reads Now + (at − Now), which can be one ulp
+// past at. Completions are never detected by tolerance: committing exactly
+// the predicted instants keeps the event sequence bit-reproducible.
+func (d *Driver) AdvanceToNext(t float64) (id model.JobID, at float64, ok bool) {
+	id, at, ok = d.nextCompletion()
+	if ok && at <= t {
+		if dt := at - d.ctx.Now; dt > 0 {
+			d.advance(dt)
+		}
+		return id, at, true
+	}
+	if t > d.ctx.Now && !math.IsInf(t, 1) {
+		d.advance(t - d.ctx.Now)
+	}
+	return 0, 0, false
+}
+
+// nextCompletion returns the earliest predicted completion instant among
+// running jobs at current rates. Ties go to the job that comes first in
+// Running, which is priority order, not slot order. ok is false when
+// nothing is running.
+func (d *Driver) nextCompletion() (id model.JobID, at float64, ok bool) {
 	at = math.Inf(1)
 	for _, j := range d.running {
 		t := d.ctx.Now + d.ctx.Remaining[j]/d.rate[j]
@@ -134,12 +152,9 @@ func (d *Driver) NextCompletion() (id model.JobID, at float64, ok bool) {
 	return id, at, ok
 }
 
-// Advance serves dt time units under the last Replan's rates and moves the
-// clock. It does not detect completions — the caller advances exactly to
-// predicted completion instants (NextCompletion) and retires jobs with
-// Complete, keeping the event sequence bit-reproducible instead of
-// tolerance-dependent.
-func (d *Driver) Advance(dt float64) {
+// advance serves dt time units under the last Replan's rates and moves the
+// clock.
+func (d *Driver) advance(dt float64) {
 	if dt > 0 {
 		for _, j := range d.running {
 			d.ctx.Remaining[j] -= d.rate[j] * dt
@@ -204,6 +219,6 @@ func (d *Driver) RestoreActive(ids []model.JobID, rem []float64) {
 	for i, id := range ids {
 		d.ctx.Released[id] = true
 		d.ctx.Remaining[id] = rem[i]
-		d.ctx.active = append(d.ctx.active, id)
+		d.ctx.addActive(id)
 	}
 }

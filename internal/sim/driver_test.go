@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"stretchsched/internal/model"
@@ -56,12 +57,13 @@ func TestDriverEventLoop(t *testing.T) {
 	if d.Rate(b) != 0 || d.Rate(c) != 0 {
 		t.Fatalf("rate(b)=%v rate(c)=%v, want 0,0", d.Rate(b), d.Rate(c))
 	}
-	id, at, ok := d.NextCompletion()
-	if !ok || id != a || at != 2 {
-		t.Fatalf("NextCompletion = %d@%v ok=%v, want %d@2", id, at, ok, a)
+	if _, _, ok := d.AdvanceToNext(1); ok || d.Now() != 1 {
+		t.Fatalf("AdvanceToNext(1) = ok %v at now %v, want no completion at 1", ok, d.Now())
 	}
-
-	d.Advance(at - d.Now())
+	id, at, ok := d.AdvanceToNext(math.Inf(1))
+	if !ok || id != a || at != 2 {
+		t.Fatalf("AdvanceToNext = %d@%v ok=%v, want %d@2", id, at, ok, a)
+	}
 	d.Complete(a)
 	if err := st.Remove(a); err != nil {
 		t.Fatal(err)
@@ -88,11 +90,10 @@ func TestDriverEventLoop(t *testing.T) {
 	pol := srptTest{}
 	for d.NumActive() > 0 {
 		d.Replan(pol)
-		id, at, ok := d.NextCompletion()
+		id, _, ok := d.AdvanceToNext(math.Inf(1))
 		if !ok {
 			t.Fatal("active jobs but nothing running")
 		}
-		d.Advance(at - d.Now())
 		d.Complete(id)
 		if err := st.Remove(id); err != nil {
 			t.Fatal(err)
@@ -115,7 +116,7 @@ func TestDriverRestoreActive(t *testing.T) {
 	d.Arrive(a, 6)
 	d.Arrive(b, 4)
 	d.Replan(srptTest{})
-	d.Advance(1)
+	d.AdvanceToNext(1)
 
 	// Rebuild a second driver from the first one's visible state.
 	slots, live, free := st.Snapshot(nil, nil, nil)
@@ -134,9 +135,49 @@ func TestDriverRestoreActive(t *testing.T) {
 
 	d.Replan(srptTest{})
 	d2.Replan(srptTest{})
-	i1, t1, ok1 := d.NextCompletion()
-	i2, t2, ok2 := d2.NextCompletion()
+	i1, t1, ok1 := d.nextCompletion()
+	i2, t2, ok2 := d2.nextCompletion()
 	if i1 != i2 || t1 != t2 || ok1 != ok2 {
 		t.Fatalf("restored driver diverged: %d@%v vs %d@%v", i1, t1, i2, t2)
+	}
+}
+
+// reverseID ranks higher slot IDs first.
+type reverseID struct{}
+
+func (reverseID) Name() string                       { return "reverse-id" }
+func (reverseID) Init(*model.Instance)               {}
+func (reverseID) OnEvent(*Ctx)                       {}
+func (reverseID) Less(_ *Ctx, a, b model.JobID) bool { return a > b }
+
+// TestDriverCompletionTiesFollowPriority pins the tie rule of the
+// completion step: of two jobs predicted to finish at the same instant,
+// the one first in priority order (Running) completes first, not the
+// lower slot. The serving decision log records this order, so changing
+// the rule would move logs on ties.
+func TestDriverCompletionTiesFollowPriority(t *testing.T) {
+	p, err := model.NewPlatform([]model.Machine{
+		{Name: "A", Speed: 1, Databanks: []model.DatabankID{0}},
+		{Name: "B", Speed: 1, Databanks: []model.DatabankID{1}},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := model.NewStream(p)
+	d := NewDriver(st.Instance())
+	for bank := 0; bank < 2; bank++ {
+		id, err := st.Add(model.Job{Size: 4, Databank: model.DatabankID(bank)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Arrive(id, 4)
+	}
+	d.Replan(reverseID{})
+	if run := d.Running(); len(run) != 2 || run[0] != 1 || run[1] != 0 {
+		t.Fatalf("Running = %v, want [1 0]", run)
+	}
+	id, at, ok := d.AdvanceToNext(math.Inf(1))
+	if !ok || id != 1 || at != 4 {
+		t.Fatalf("AdvanceToNext = %d@%v ok=%v, want slot 1 at 4", id, at, ok)
 	}
 }

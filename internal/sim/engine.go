@@ -20,9 +20,10 @@
 //
 // Both drivers are available in two forms: the package-level functions
 // return a caller-owned schedule, while an Engine owns every buffer the
-// simulation needs (state vectors, the active set, the completion event
-// heap, the output schedule) and reuses them across invocations, so the
-// steady-state event loop of RunList performs no heap allocation at all.
+// simulation needs (state vectors, the active set, the predicted
+// completion instants, the output schedule) and reuses them across
+// invocations, so the steady-state event loop of RunList performs no heap
+// allocation at all.
 // Experiment harnesses that replay thousands of instances should hold one
 // Engine per worker; see DESIGN.md for the full design.
 package sim
@@ -43,6 +44,12 @@ type Ctx struct {
 	Remaining []float64 // remaining work per job (0 when done)
 	Released  []bool
 	Done      []bool
+	// Arrivals counts the jobs that have entered the active set since the
+	// run started (engine) or the driver was built. It only grows, so a
+	// policy that remembers it sees every arrival since its last OnEvent,
+	// even when completions in between left the active count unchanged.
+	// Hand-constructed contexts leave it 0.
+	Arrivals int
 
 	// active is the engine-maintained set of released, unfinished jobs in
 	// ID order, updated incrementally at releases and completions. It is
@@ -50,6 +57,30 @@ type Ctx struct {
 	// to a scan.
 	active  []model.JobID
 	managed bool
+}
+
+// addActive inserts j into the active set by binary search, keeping it in
+// ID order, and counts the arrival. The engine releases jobs in ID order,
+// so there j lands at the end; the driver's recycled slots may land
+// anywhere.
+//
+//stretch:noalloc
+func (c *Ctx) addActive(j model.JobID) {
+	i, _ := slices.BinarySearch(c.active, j)
+	c.active = append(c.active, 0)
+	copy(c.active[i+1:], c.active[i:])
+	c.active[i] = j
+	c.Arrivals++
+}
+
+// dropActive removes j from the active set by binary search, keeping ID
+// order; it is a no-op when j is not active.
+//
+//stretch:noalloc
+func (c *Ctx) dropActive(j model.JobID) {
+	if i, ok := slices.BinarySearch(c.active, j); ok {
+		c.active = slices.Delete(c.active, i, i+1)
+	}
 }
 
 // Active returns the released, unfinished jobs in ID order. The returned
@@ -134,12 +165,16 @@ func (e *Engine) RunList(inst *model.Instance, pol Policy) (*model.Schedule, err
 		st.allocate(st.order)
 		st.refreshEvents()
 
-		// Horizon: next arrival or earliest completion at current rates,
-		// the latter read off the indexed event heap in O(1).
-		dt := st.timeToNextArrival()
-		if !st.events.empty() {
-			dt = math.Min(dt, st.events.minKey()-st.ctx.Now)
+		// Horizon: next arrival or earliest predicted completion at
+		// current rates, a scan over the running jobs (at most one per
+		// machine).
+		first := math.Inf(1)
+		for _, j := range st.running {
+			if st.due[j] < first {
+				first = st.due[j]
+			}
 		}
+		dt := math.Min(st.timeToNextArrival(), first-st.ctx.Now)
 		if math.IsInf(dt, 1) {
 			return nil, fmt.Errorf("sim: %s has active jobs with no eligible machine and no future arrivals", pol.Name()) //stretch:alloc-ok — error exit
 		}
@@ -177,10 +212,10 @@ type state struct {
 	order    []model.JobID // active jobs in priority order
 	assign   []int         // machine -> job (-1 idle)
 	rate     []float64     // job -> aggregate service rate
-	prevRate []float64     // rate at the previous event (event-heap delta)
+	prevRate []float64     // rate at the previous event
+	due      []float64     // job -> predicted completion while rate > 0
 	running  []model.JobID // jobs with rate > 0, priority order
 	cursor   []int         // planned driver: next plan slice per machine
-	events   eventHeap     // pending completion instants at current rates
 }
 
 // grow returns s resized to length n, reusing its backing array when large
@@ -208,14 +243,15 @@ func (st *state) reset(inst *model.Instance) {
 	st.ctx.Released = grow(st.ctx.Released, n)
 	st.ctx.Done = grow(st.ctx.Done, n)
 	st.ctx.active = grow(st.ctx.active, n)[:0]
+	st.ctx.Arrivals = 0
 	st.workTol = grow(st.workTol, n)
 	st.order = grow(st.order, n)[:0]
 	st.assign = grow(st.assign, m)
 	st.rate = grow(st.rate, n)
 	st.prevRate = grow(st.prevRate, n)
+	st.due = grow(st.due, n)
 	st.running = grow(st.running, n)[:0]
 	st.cursor = grow(st.cursor, m)
-	st.events.reset(n)
 	st.sched.Reset(inst)
 
 	// The completion tolerance is relative to the whole instance, not just
@@ -241,29 +277,15 @@ func (st *state) startTime() float64 {
 	return st.inst.Jobs[0].Release
 }
 
-// releaseUpTo marks every job released by time t and appends it to the
-// active set. Jobs are numbered by increasing release, so appending keeps
-// the set in ID order.
+// releaseUpTo marks every job released by time t and adds it to the
+// active set.
 //
 //stretch:noalloc
 func (st *state) releaseUpTo(t float64) {
 	for st.nextArr < st.inst.NumJobs() && st.inst.Jobs[st.nextArr].Release <= t+relTol*(1+t) {
 		st.ctx.Released[st.nextArr] = true
-		st.ctx.active = append(st.ctx.active, model.JobID(st.nextArr))
+		st.ctx.addActive(model.JobID(st.nextArr))
 		st.nextArr++
-	}
-}
-
-// removeActive deletes j from the active set, preserving ID order.
-//
-//stretch:noalloc
-func (st *state) removeActive(j model.JobID) {
-	a := st.ctx.active
-	for i, id := range a {
-		if id == j {
-			st.ctx.active = append(a[:i], a[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -382,11 +404,11 @@ func (st *state) allocate(order []model.JobID) {
 	st.running = AllocateGreedy(st.inst, order, st.assign, st.rate, st.running[:0])
 }
 
-// refreshEvents reconciles the completion-event heap with the rates chosen
-// by the last allocation. A job's predicted completion Now + ρ_j/rate_j is
-// invariant while its rate holds, so only jobs whose rate actually changed
-// pay the O(log n) heap update; in steady state that is a handful per
-// event, not the whole active set.
+// refreshEvents records the predicted completion instants under the rates
+// chosen by the last allocation. A job's prediction Now + ρ_j/rate_j is
+// invariant while its rate holds, so it is recomputed only when the rate
+// changes to a positive value; a job whose rate holds keeps the instant
+// it was given then.
 //
 //stretch:noalloc
 func (st *state) refreshEvents() {
@@ -395,10 +417,8 @@ func (st *state) refreshEvents() {
 		if r == st.prevRate[j] {
 			continue
 		}
-		if r == 0 {
-			st.events.remove(j)
-		} else {
-			st.events.set(j, st.ctx.Now+st.ctx.Remaining[j]/r)
+		if r > 0 {
+			st.due[j] = st.ctx.Now + st.ctx.Remaining[j]/r
 		}
 		st.prevRate[j] = r
 	}
@@ -430,9 +450,7 @@ func (st *state) advance(dt float64) {
 			st.ctx.Done[j] = true
 			st.doneCnt++
 			st.sched.Completion[j] = t1
-			st.removeActive(j)
-			st.events.remove(j)
-			st.prevRate[j] = 0
+			st.ctx.dropActive(j)
 		}
 	}
 	st.releaseUpTo(t1)

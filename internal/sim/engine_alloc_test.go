@@ -66,7 +66,7 @@ func TestRunListSteadyStateAllocs(t *testing.T) {
 
 // referenceRunList is the engine as originally shipped — per-event active
 // scans, sort.SliceStable ordering, fresh buffers everywhere. It is kept
-// here as the semantic oracle for the incremental/heap-based rewrite.
+// here as the semantic oracle for the incremental rewrite.
 func referenceRunList(inst *model.Instance, pol Policy) (*model.Schedule, error) {
 	pol.Init(inst)
 	n := inst.NumJobs()
@@ -172,7 +172,8 @@ func referenceRunList(inst *model.Instance, pol Policy) (*model.Schedule, error)
 
 // TestRunListMatchesReference replays random instances through the
 // incremental engine and the straight-line reference implementation. The
-// event-heap keys are computed once per rate change instead of per event,
+// predicted completion instants are computed once per rate change instead
+// of per event,
 // which can move completions by float-rounding dust, so agreement is
 // checked to a relative 1e-9 — far tighter than the engine's own tolerance.
 func TestRunListMatchesReference(t *testing.T) {
@@ -225,57 +226,6 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 						nj, pol.Name(), j, reused.Completion[j], fresh.Completion[j])
 				}
 			}
-		}
-	}
-}
-
-// TestEventHeap exercises the indexed heap directly: set, update up and
-// down, removal of arbitrary members, and full drain ordering.
-func TestEventHeap(t *testing.T) {
-	var h eventHeap
-	h.reset(10)
-	if !h.empty() || !math.IsInf(h.minKey(), 1) {
-		t.Fatal("fresh heap not empty")
-	}
-	keys := []float64{5, 3, 8, 1, 9, 2, 7}
-	for j, k := range keys {
-		h.set(model.JobID(j), k)
-	}
-	if h.minKey() != 1 {
-		t.Fatalf("minKey = %v, want 1", h.minKey())
-	}
-	h.set(3, 10) // update min upward
-	if h.minKey() != 2 {
-		t.Fatalf("after update, minKey = %v, want 2", h.minKey())
-	}
-	h.set(0, 0.5) // update downward
-	if h.minKey() != 0.5 {
-		t.Fatalf("after decrease, minKey = %v, want 0.5", h.minKey())
-	}
-	h.remove(0)
-	h.remove(0) // double-remove is a no-op
-	if h.minKey() != 2 {
-		t.Fatalf("after remove, minKey = %v, want 2", h.minKey())
-	}
-	// Drain and verify monotone keys.
-	prev := math.Inf(-1)
-	for !h.empty() {
-		k := h.minKey()
-		if k < prev {
-			t.Fatalf("heap drained out of order: %v after %v", k, prev)
-		}
-		prev = k
-		h.remove(h.heap[0])
-	}
-	// Reset must clear stale membership.
-	h.set(4, 1)
-	h.reset(10)
-	if !h.empty() {
-		t.Fatal("reset left members")
-	}
-	for j := 0; j < 10; j++ {
-		if h.pos[j] != -1 {
-			t.Fatalf("reset left pos[%d] = %d", j, h.pos[j])
 		}
 	}
 }
