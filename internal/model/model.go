@@ -182,13 +182,15 @@ func NewInstance(p *Platform, jobs []Job) (*Instance, error) {
 }
 
 // ValidateJob is the one job-validity rule: a positive finite size, a
-// nonnegative release and a databank that platform p knows. NewInstance,
-// Stream and the serving daemon's admission all apply it.
+// nonnegative finite release and a databank that platform p knows.
+// NewInstance, NewClusterInstance, Stream and the serving daemon's
+// admission all apply it. A job released at +Inf never arrives; the
+// solvers do not terminate on one.
 func ValidateJob(p *Platform, j Job) error {
 	if j.Size <= 0 || math.IsNaN(j.Size) || math.IsInf(j.Size, 0) {
 		return fmt.Errorf("invalid size %v", j.Size)
 	}
-	if j.Release < 0 || math.IsNaN(j.Release) {
+	if j.Release < 0 || math.IsNaN(j.Release) || math.IsInf(j.Release, 1) {
 		return fmt.Errorf("invalid release %v", j.Release)
 	}
 	if j.Databank < 0 || int(j.Databank) >= p.NumDatabanks() {

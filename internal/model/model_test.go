@@ -104,6 +104,8 @@ func TestInstanceValidation(t *testing.T) {
 		{Release: -1, Size: 1, Databank: 0},
 		{Release: 0, Size: 1, Databank: 5},
 		{Release: 0, Size: math.Inf(1), Databank: 0},
+		{Release: math.Inf(1), Size: 1, Databank: 0},
+		{Release: math.NaN(), Size: 1, Databank: 0},
 	}
 	for i, j := range bad {
 		if _, err := NewInstance(p, []Job{j}); err == nil {

@@ -466,6 +466,7 @@ func TestRejectedSubmitLeavesLoopUnchanged(t *testing.T) {
 		{Size: 10, Databank: 999, Release: before.Now + 1e6},
 		{Size: -1, Databank: 0, Release: before.Now + 1e6},
 		{Size: 10, Databank: 0, Release: math.NaN()},
+		{Size: 10, Databank: 0, Release: math.Inf(1)},
 	} {
 		_, err := loop.Submit(req)
 		var rej *Rejection
@@ -484,8 +485,8 @@ func TestRejectedSubmitLeavesLoopUnchanged(t *testing.T) {
 	if !bytes.Equal(log.Bytes(), logBefore) {
 		t.Fatalf("rejected submissions appended %d decision-log bytes", log.Len()-len(logBefore))
 	}
-	if after.Counters.Rejected[CodeInvalid] != 3 {
-		t.Fatalf("invalid rejections = %d, want 3", after.Counters.Rejected[CodeInvalid])
+	if after.Counters.Rejected[CodeInvalid] != 4 {
+		t.Fatalf("invalid rejections = %d, want 4", after.Counters.Rejected[CodeInvalid])
 	}
 }
 

@@ -168,13 +168,13 @@ func (e *Engine) RunList(inst *model.Instance, pol Policy) (*model.Schedule, err
 		// Horizon: next arrival or earliest predicted completion at
 		// current rates, a scan over the running jobs (at most one per
 		// machine).
-		first := math.Inf(1)
+		earliest := math.Inf(1)
 		for _, j := range st.running {
-			if st.due[j] < first {
-				first = st.due[j]
+			if st.due[j] < earliest {
+				earliest = st.due[j]
 			}
 		}
-		dt := math.Min(st.timeToNextArrival(), first-st.ctx.Now)
+		dt := math.Min(st.timeToNextArrival(), earliest-st.ctx.Now)
 		if math.IsInf(dt, 1) {
 			return nil, fmt.Errorf("sim: %s has active jobs with no eligible machine and no future arrivals", pol.Name()) //stretch:alloc-ok — error exit
 		}
