@@ -29,7 +29,8 @@ func NewClusterInstance(nodes []*Platform, jobs []Job) (*ClusterInstance, error)
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("model: cluster needs at least one node")
 	}
-	// A databank every node knows is one the node with the fewest knows.
+	// Databank IDs run from 0 on every node, so the node with the fewest
+	// databanks decides which ones every node knows.
 	narrowest := nodes[0]
 	for _, p := range nodes[1:] {
 		if p.NumDatabanks() < narrowest.NumDatabanks() {
