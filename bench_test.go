@@ -243,7 +243,7 @@ func BenchmarkPlannedEngine(b *testing.B) {
 // BenchmarkOfflineExactScale is the acceptance benchmark of the sparse
 // revised simplex: Offline-Exact through core.Runner on paper-scale
 // platforms (10 and 20 sites, the §5.3 grid's heavy tail), the instances
-// that were impractical on the dense tableau — 16m20s at 10 sites on the
+// that were impractical on a dense simplex — 16m20s at 10 sites on the
 // measurement host, versus ~2s through the revised method, and 20 sites
 // did not finish at all (~18s revised). CI records one iteration of each
 // in BENCH_<sha>.json via the bench-smoke job.
@@ -505,48 +505,10 @@ func BenchmarkGridWorkers(b *testing.B) {
 	}
 }
 
-func BenchmarkSimplexFloat(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := lp.New[float64](lp.NewFloat64Ops(), 6)
-		p.SetMaximize(true)
-		for v := 0; v < 6; v++ {
-			p.SetObjectiveCoef(v, float64(v+1))
-			row := make([]float64, 6)
-			row[v] = 1
-			p.AddDense(row, lp.LE, 10)
-		}
-		p.AddDense([]float64{1, 1, 1, 1, 1, 1}, lp.LE, 20)
-		if _, err := p.Solve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimplexRational(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := lp.New[rat.Rat](lp.RatOps{}, 6)
-		p.SetMaximize(true)
-		one := rat.One
-		for v := 0; v < 6; v++ {
-			p.SetObjectiveCoef(v, rat.FromInt(int64(v+1)))
-			row := make([]rat.Rat, 6)
-			row[v] = one
-			p.AddDense(row, lp.LE, rat.FromInt(10))
-		}
-		p.AddDense([]rat.Rat{one, one, one, one, one, one}, lp.LE, rat.FromInt(20))
-		if _, err := p.Solve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimplexRevised is BenchmarkSimplexRational through the revised
-// solver: the same tiny dense box LP, tracking the revised method's
-// per-solve constant factors (eta file, column build, BTRAN pricing). On
-// programs this small and dense the tableau is competitive — which is why
-// it stays the float-path solver; the revised method's case is the sparse
-// System (1) scale of BenchmarkOfflineExactScale and the ablation below.
+// BenchmarkSimplexRevised solves a tiny dense box LP on exact rationals,
+// tracking the simplex's per-solve constant factors (eta file, column
+// build, BTRAN pricing, the certificate). The revised method's case is the
+// sparse System (1) scale of offline's BenchmarkExactOracle.
 func BenchmarkSimplexRevised(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -560,7 +522,7 @@ func BenchmarkSimplexRevised(b *testing.B) {
 			p.AddDense(row, lp.LE, rat.FromInt(10))
 		}
 		p.AddDense([]rat.Rat{one, one, one, one, one, one}, lp.LE, rat.FromInt(20))
-		if _, err := p.SolveRevised(); err != nil {
+		if _, err := p.Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -589,7 +551,7 @@ func BenchmarkMinCostFlow(b *testing.B) {
 // parametric-cut refinement on the same instance: the float Newton phase
 // alone (float-cut) and that phase plus the rational certificate
 // (exact-cut) — the price of eliminating the §5.3 precision anomaly. The
-// System (1) linear programs the cut replaced are timed by offline's
+// System (1) linear program the cut replaced is timed by offline's
 // BenchmarkExactOracle.
 func BenchmarkAblationExactRefinement(b *testing.B) {
 	inst := benchInstance(b, 8)

@@ -10,7 +10,7 @@
 // Four analyzers:
 //
 //   - noswallow: a call to a watched solver/planner/experiment entry point
-//     (lp Solve*/SolveRevised*, offline Plan/Refine, online Plan, the exp
+//     (lp Solve, offline Plan/Refine, online Plan, the exp
 //     Run*/Write*/Read* CSV surface) must not discard its error result —
 //     neither as a bare statement nor assigned to the blank identifier.
 //     Escape hatch: //stretch:swallow-ok on the offending line.

@@ -12,13 +12,13 @@ const SwallowOkDirective = "//stretch:swallow-ok"
 // noswallowWatch lists, per defining package, the functions and methods
 // whose error results must not be discarded. These are exactly the entry
 // points whose silent failures PR 2 and PR 4 dug out by hand: the LP
-// solvers (a swallowed ErrIterLimit turns the §5.3 anomaly back on), the
+// solver (a swallowed ErrIterLimit turns the §5.3 anomaly back on), the
 // offline planner pipeline, the online per-event solves, and the
 // experiment harness's CSV/digest surface (a swallowed write error is a
 // silently truncated nightly merge).
 var noswallowWatch = map[string]map[string]bool{
 	"stretchsched/internal/lp": {
-		"Solve": true, "SolveRevised": true,
+		"Solve": true,
 	},
 	"stretchsched/internal/offline": {
 		"Plan": true, "Refine": true, "Optimal": true, "OptimalStretch": true,

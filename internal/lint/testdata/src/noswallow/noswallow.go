@@ -18,10 +18,6 @@ func bareCall(p *lp.Problem[float64]) {
 	p.Solve() // want "error result of lp.Solve is discarded (bare call statement)"
 }
 
-func bareRevised(p *lp.Problem[float64]) {
-	p.SolveRevised() // want "error result of lp.SolveRevised is discarded"
-}
-
 func goStmt(p *lp.Problem[float64]) {
 	go p.Solve() // want "go statement"
 }

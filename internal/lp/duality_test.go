@@ -1,9 +1,13 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"stretchsched/internal/rat"
 )
 
 // TestStrongDuality solves random primal LPs
@@ -128,5 +132,75 @@ func TestIterationsReported(t *testing.T) {
 	}
 	if sol.Iterations <= 0 {
 		t.Fatalf("iterations = %d", sol.Iterations)
+	}
+}
+
+// TestCertificateRejectsTampering hands certify a solved program with one
+// value tampered at a time. The untampered results pass; each tampered
+// one fails with ErrCertificate. The optimal program's binding rows are a
+// ≤ row and a ≥ row stored negated (negative rhs), whose multiplier the
+// mapping back to the problem's rows must flip; the infeasible program's
+// multipliers are a Farkas certificate.
+func TestCertificateRejectsTampering(t *testing.T) {
+	solve := func(p *Problem[rat.Rat]) (Solution[rat.Rat], []rat.Rat) {
+		rv := &revised[rat.Rat]{}
+		rv.init(p)
+		sol := rv.solve()
+		return sol, slices.Clone(rv.multipliers())
+	}
+	one, two := rat.One, rat.FromInt(2)
+
+	// max 3x + 5y st x ≤ 4, 2y ≤ 12, −3x − 2y ≥ −18, x ≥ 1
+	// → x = 2, y = 6, objective 36.
+	opt := ratProb(2)
+	opt.SetMaximize(true)
+	opt.SetObjectiveCoef(0, rat.FromInt(3))
+	opt.SetObjectiveCoef(1, rat.FromInt(5))
+	opt.AddDense([]rat.Rat{one, rat.Zero}, LE, rat.FromInt(4))
+	opt.AddDense([]rat.Rat{rat.Zero, two}, LE, rat.FromInt(12))
+	opt.AddDense([]rat.Rat{rat.FromInt(-3), two.Neg()}, GE, rat.FromInt(-18))
+	opt.AddDense([]rat.Rat{one, rat.Zero}, GE, one)
+	sol, y := solve(opt)
+	if sol.Status != Optimal || !sol.Objective.Equal(rat.FromInt(36)) {
+		t.Fatalf("status %v, objective %v; want optimal 36", sol.Status, sol.Objective)
+	}
+	if err := opt.certify(&sol, y); err != nil {
+		t.Fatalf("untampered optimum: %v", err)
+	}
+	// In minimisation form the binding rows' multipliers are −3/2 and +1.
+	if !y[1].Equal(rat.FromFrac(-3, 2)) || !y[2].Equal(one) {
+		t.Fatalf("multipliers %v, want −3/2 on row 1 and 1 on row 2", y)
+	}
+	tampered := func(name string, sol Solution[rat.Rat], y []rat.Rat) {
+		t.Helper()
+		if err := opt.certify(&sol, y); !errors.Is(err, ErrCertificate) {
+			t.Errorf("%s: err = %v, want ErrCertificate", name, err)
+		}
+	}
+	x := slices.Clone(sol.X)
+	x[0] = x[0].Add(one)
+	tampered("x entry", Solution[rat.Rat]{Status: Optimal, X: x, Objective: sol.Objective}, y)
+	tampered("objective", Solution[rat.Rat]{Status: Optimal, X: sol.X, Objective: sol.Objective.Add(one)}, y)
+	flipped := slices.Clone(y)
+	flipped[2] = flipped[2].Neg()
+	tampered("multiplier sign", sol, flipped)
+
+	// x ≤ 1 and x ≥ 2 have no solution.
+	inf := ratProb(1)
+	inf.AddDense([]rat.Rat{one}, LE, one)
+	inf.AddDense([]rat.Rat{one}, GE, two)
+	isol, iy := solve(inf)
+	if isol.Status != Infeasible {
+		t.Fatalf("status %v, want infeasible", isol.Status)
+	}
+	if err := inf.certify(&isol, iy); err != nil {
+		t.Fatalf("untampered infeasibility: %v", err)
+	}
+	for r := range iy {
+		flipped := slices.Clone(iy)
+		flipped[r] = flipped[r].Neg()
+		if err := inf.certify(&isol, flipped); !errors.Is(err, ErrCertificate) {
+			t.Errorf("Farkas multiplier %d flipped: err = %v, want ErrCertificate", r, err)
+		}
 	}
 }

@@ -1,22 +1,26 @@
-// Package lp implements two-phase primal simplex solvers: a dense tableau
-// and a sparse revised method with a product-form basis inverse.
+// Package lp implements a two-phase primal simplex solver: a sparse
+// revised method with a product-form basis inverse, which checks its own
+// results.
 //
 // The paper's offline max-stretch algorithm (System (1)) and the sum-stretch
 // refinement of its online heuristics (System (2)) are linear programs. The
 // original work used an external LP solver; Go's standard library has none,
-// so this package provides them from scratch, generic over the scalar
-// field: a fast float64 backend with tolerances for simulation, and an
-// exact rational backend that eliminates the floating-point milestone
-// anomaly the paper reports in §5.3. The dense tableau (Solve) and the
-// sparse revised simplex (SolveRevised, see revised.go) are each other's
-// differential oracles; on exact rationals they solve System (1) as the
-// oracle of the offline solver's parametric cut (offline.OracleStretch).
+// so this package provides one from scratch, generic over the scalar
+// field: a float64 backend with tolerances, and an exact rational backend
+// that eliminates the floating-point milestone anomaly the paper reports in
+// §5.3. Production paths no longer solve linear programs: on exact
+// rationals Solve runs System (1) as the oracle of the offline solver's
+// parametric cut (offline.OracleStretch). Every Optimal or Infeasible
+// result carries a duality certificate that Solve checks against the
+// problem's own rows, so a wrong answer fails with ErrCertificate instead
+// of passing silently. The Ops scalar layer is shared with package flow.
 package lp
 
 import "stretchsched/internal/rat"
 
-// Ops abstracts the arithmetic a simplex tableau needs. Implementations must
-// behave like an ordered field; Sign may incorporate a tolerance (float64).
+// Ops abstracts the arithmetic the simplex and the flow solvers need.
+// Implementations must behave like an ordered field; Sign may incorporate a
+// tolerance (float64).
 type Ops[T any] interface {
 	Add(a, b T) T
 	Sub(a, b T) T
@@ -35,9 +39,6 @@ type Ops[T any] interface {
 	Neg(a T) T
 	Zero() T
 	One() T
-	FromInt(n int64) T
-	FromFloat(f float64) T
-	Float(a T) float64
 	// Sign returns -1, 0, +1; values within the backend tolerance of zero
 	// must report 0.
 	Sign(a T) int
@@ -62,9 +63,6 @@ func (o Float64Ops) MulSub(a, b, c float64) float64 { return a - b*c }
 func (o Float64Ops) Neg(a float64) float64          { return -a }
 func (o Float64Ops) Zero() float64                  { return 0 }
 func (o Float64Ops) One() float64                   { return 1 }
-func (o Float64Ops) FromInt(n int64) float64        { return float64(n) }
-func (o Float64Ops) FromFloat(f float64) float64    { return f }
-func (o Float64Ops) Float(a float64) float64        { return a }
 
 func (o Float64Ops) Sign(a float64) int {
 	eps := o.Eps
@@ -87,7 +85,7 @@ func (o Float64Ops) Cmp(a, b float64) int { return o.Sign(a - b) }
 // result is passed through rat.Reduce: values that promoted to the 128-bit
 // medium form or escaped to math/big during a pivot (overflowing products
 // of float-derived coefficients) are demoted back down the representation
-// ladder the moment cancellation brings them back in range, so tableaus
+// ladder the moment cancellation brings them back in range, so simplex data
 // whose entries simplify — the common case, since most columns are 0/±1 —
 // stay in the allocation-free fixed-width regime.
 type RatOps struct {
@@ -125,8 +123,5 @@ func (o RatOps) MulSub(a, b, c rat.Rat) rat.Rat { return o.note3(rat.MulSub(a, b
 func (RatOps) Neg(a rat.Rat) rat.Rat            { return a.Neg() }
 func (RatOps) Zero() rat.Rat                    { return rat.Zero }
 func (RatOps) One() rat.Rat                     { return rat.One }
-func (RatOps) FromInt(n int64) rat.Rat          { return rat.FromInt(n) }
-func (RatOps) FromFloat(f float64) rat.Rat      { return rat.FromFloat(f) }
-func (RatOps) Float(a rat.Rat) float64          { return a.Float() }
 func (RatOps) Sign(a rat.Rat) int               { return a.Sign() }
 func (RatOps) Cmp(a, b rat.Rat) int             { return a.Cmp(b) }

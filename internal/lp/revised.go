@@ -1,14 +1,11 @@
 package lp
 
-// revised.go implements the sparse revised simplex method, the exact
-// backend's solver for paper-scale System (1) programs. The dense tableau
-// (simplex.go) carries a full m×(n+m) matrix through every pivot — O(m·n)
-// row work per iteration — which is what made Offline-Exact impractical
-// beyond small platforms: the System (1) constraint matrices are ~95%
-// zeros at 20 sites. The revised method keeps the constraint matrix
-// column-major sparse and untouched, represents the basis inverse as an
-// eta file (product form of the inverse), and pays only O(nnz) per
-// iteration:
+// revised.go implements the sparse revised simplex method behind Solve. A
+// dense method would carry a full m×(n+m) matrix through every pivot, and
+// System (1) constraint matrices are ~95% zeros at 20 sites. The revised
+// method keeps the constraint matrix column-major sparse and untouched,
+// represents the basis inverse as an eta file (product form of the
+// inverse), and pays only O(nnz) per iteration:
 //
 //   - FTRAN (B⁻¹·column) and BTRAN (row·B⁻¹) apply the eta file to a dense
 //     m-vector, skipping etas whose pivot entry is zero;
@@ -23,13 +20,16 @@ package lp
 //
 // All arithmetic goes through Ops[T]; eta and solution updates use
 // Ops.MulAdd so the exact backend's accumulate chains stay in rat's inline
-// int64 form whenever the final values fit (see rat.MulAdd). Both solvers
-// share Problem's sparse constraint rows. A solve allocates its working
-// state once; its iterations allocate nothing beyond the backend's own
-// escapes.
+// int64 form whenever the final values fit (see rat.MulAdd). A solve
+// allocates its working state once; its iterations allocate nothing beyond
+// the backend's own escapes.
 //
-// The dense tableau remains the differential-test oracle for this file
-// (see FuzzSimplexDifferential).
+// The solver is its own oracle: at the end of a solve, multipliers returns
+// the final basis's duals, and Solve checks the result with them against
+// the problem's rows (certify).
+
+// maxIterFactor sets the iteration cap of each phase: maxIterFactor·(m+n+1).
+const maxIterFactor = 200
 
 // revisedRefactorEvery is the hard cap on etas appended since the last
 // refactorisation. The primary trigger is nnz-based (see shouldRefactor):
@@ -97,19 +97,6 @@ type revised[T any] struct {
 	bland  bool
 	streak int // consecutive degenerate pivots
 	iters  int
-}
-
-// SolveRevised solves p with the sparse revised simplex method. It returns
-// the same statuses and typed errors as Solve, and like Solve allocates its
-// own state per call. Use it for large sparse programs — the exact System
-// (1) instances — where the dense tableau's per-iteration O(m·n) row work
-// dominates; for small or dense programs the tableau is simpler and just as
-// fast.
-func (p *Problem[T]) SolveRevised() (*Solution[T], error) {
-	rv := &revised[T]{}
-	rv.init(p)
-	sol := rv.solve()
-	return &sol, sol.Status.Err()
 }
 
 // init binds the solver state to p and builds the sparse column matrix.
@@ -406,9 +393,8 @@ func (rv *revised[T]) pivot(leave, enter int, alpha []T) {
 		}
 		v := ops.MulAdd(rv.xB[i], nTheta, alpha[i])
 		if ops.Sign(v) < 0 {
-			// Degenerate negative dust from float cancellation, exactly as
-			// the dense tableau clamps its rhs column: the primal simplex
-			// keeps xB ≥ 0 invariantly.
+			// Degenerate negative dust from float cancellation: the primal
+			// simplex keeps xB ≥ 0 invariantly.
 			v = ops.Zero()
 		}
 		rv.xB[i] = v
@@ -543,11 +529,7 @@ func (rv *revised[T]) optimize() Status {
 				return IterLimit
 			}
 		}
-		// y = c_B · B⁻¹.
-		for i := 0; i < rv.m; i++ {
-			rv.y[i] = rv.cost[rv.basis[i]]
-		}
-		rv.btran(rv.y)
+		rv.duals()
 		enter := rv.price(rv.y)
 		if enter == -1 {
 			return Optimal
@@ -560,6 +542,36 @@ func (rv *revised[T]) optimize() Status {
 		}
 		rv.pivot(leave, enter, rv.alpha)
 	}
+}
+
+// duals sets y = c_B·B⁻¹ under the current phase's costs (one BTRAN).
+//
+//stretch:noalloc
+func (rv *revised[T]) duals() {
+	for i, v := range rv.basis {
+		rv.y[i] = rv.cost[v]
+	}
+	rv.btran(rv.y)
+}
+
+// multipliers returns the current basis's duals mapped back to the
+// problem's rows, the y that certify checks. After a solve the cost vector
+// is still the final phase's: the artificials' unit costs when phase 1
+// proved the problem infeasible, the objective (negated when maximising)
+// at an optimum. A row stored negated (negative rhs, see init) flips its
+// multiplier. certify trusts none of this: any y that passes it is a
+// proof.
+//
+//stretch:noalloc
+func (rv *revised[T]) multipliers() []T {
+	ops := rv.ops
+	rv.duals()
+	for r := range rv.prob.cons {
+		if ops.Sign(rv.prob.cons[r].rhs) < 0 {
+			rv.y[r] = ops.Neg(rv.y[r])
+		}
+	}
+	return rv.y
 }
 
 // objective returns the current phase's objective value c_B·xB.

@@ -3,33 +3,11 @@ package lp
 import (
 	"errors"
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"stretchsched/internal/rat"
 )
-
-// TestRevisedSimpleMax ports the canonical tableau test to the revised
-// solver: max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 → x=2, y=6.
-func TestRevisedSimpleMax(t *testing.T) {
-	p := f64Prob(2)
-	p.SetMaximize(true)
-	p.SetObjectiveCoef(0, 3)
-	p.SetObjectiveCoef(1, 5)
-	p.AddDense([]float64{1, 0}, LE, 4)
-	p.AddDense([]float64{0, 2}, LE, 12)
-	p.AddDense([]float64{3, 2}, LE, 18)
-	sol, err := p.SolveRevised()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sol.Objective-36) > 1e-7 {
-		t.Fatalf("obj = %v, want 36", sol.Objective)
-	}
-	if math.Abs(sol.X[0]-2) > 1e-7 || math.Abs(sol.X[1]-6) > 1e-7 {
-		t.Fatalf("x = %v, want [2 6]", sol.X)
-	}
-}
 
 // TestRevisedStatuses checks the three non-optimal outcomes surface with
 // both the right Status and the right typed sentinel.
@@ -37,7 +15,7 @@ func TestRevisedStatuses(t *testing.T) {
 	inf := f64Prob(1)
 	inf.AddDense([]float64{1}, LE, 1)
 	inf.AddDense([]float64{1}, GE, 2)
-	sol, err := inf.SolveRevised()
+	sol, err := inf.Solve()
 	if sol.Status != Infeasible || !errors.Is(err, ErrInfeasible) || !errors.Is(err, ErrNotOptimal) {
 		t.Fatalf("status = %v err = %v", sol.Status, err)
 	}
@@ -46,7 +24,7 @@ func TestRevisedStatuses(t *testing.T) {
 	unb.SetMaximize(true)
 	unb.SetObjectiveCoef(0, 1)
 	unb.AddDense([]float64{-1}, LE, 0)
-	sol, err = unb.SolveRevised()
+	sol, err = unb.Solve()
 	if sol.Status != Unbounded || !errors.Is(err, ErrUnbounded) || !errors.Is(err, ErrNotOptimal) {
 		t.Fatalf("status = %v err = %v", sol.Status, err)
 	}
@@ -65,30 +43,12 @@ func TestRevisedEqualityAndNegativeRHS(t *testing.T) {
 	p.SetObjectiveCoef(1, 1)
 	p.AddDense([]float64{1, 2}, EQ, 4)
 	p.AddDense([]float64{-1, 1}, LE, -1) // x - y >= 1 in disguise
-	sol, err := p.SolveRevised()
+	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sol.X[0]-2) > 1e-7 || math.Abs(sol.X[1]-1) > 1e-7 {
 		t.Fatalf("x = %v, want [2 1]", sol.X)
-	}
-}
-
-// TestRevisedRedundantRows: dependent equalities leave artificials parked
-// in dependent rows; the optimum must be unaffected.
-func TestRevisedRedundantRows(t *testing.T) {
-	p := f64Prob(2)
-	p.SetObjectiveCoef(0, 1)
-	p.SetObjectiveCoef(1, 1)
-	p.AddDense([]float64{1, 1}, EQ, 3)
-	p.AddDense([]float64{2, 2}, EQ, 6)
-	p.AddDense([]float64{1, 1}, EQ, 3)
-	sol, err := p.SolveRevised()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sol.Objective-3) > 1e-7 {
-		t.Fatalf("obj = %v, want 3", sol.Objective)
 	}
 }
 
@@ -109,115 +69,71 @@ func TestRevisedDegenerateBealeExact(t *testing.T) {
 		p.AddDense([]rat.Rat{rat.Zero, rat.Zero, rat.One, rat.Zero}, LE, rat.One)
 		return p
 	}
-	want := rat.FromFrac(-1, 20)
-	for name, solve := range map[string]func(*Problem[rat.Rat]) (*Solution[rat.Rat], error){
-		"revised": (*Problem[rat.Rat]).SolveRevised,
-		"dense":   (*Problem[rat.Rat]).Solve,
-	} {
-		sol, err := solve(build())
-		if err != nil {
-			if errors.Is(err, ErrIterLimit) {
-				t.Fatalf("%s: cycled into the iteration limit: %v", name, err)
-			}
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !sol.Objective.Equal(want) {
-			t.Fatalf("%s: obj = %v, want -1/20", name, sol.Objective)
-		}
+	sol, err := build().Solve()
+	if errors.Is(err, ErrIterLimit) {
+		t.Fatalf("cycled into the iteration limit: %v", err)
 	}
-}
-
-// TestRevisedMatchesDenseRandom cross-checks the two solvers over the
-// shared random generator on the float backend.
-func TestRevisedMatchesDenseRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 60; trial++ {
-		nvars := 2 + rng.Intn(5)
-		ncons := 1 + rng.Intn(5)
-		c, a, b, u := randomLP(rng, nvars, ncons)
-		build := func() *Problem[float64] {
-			p := f64Prob(nvars)
-			for i := 0; i < nvars; i++ {
-				p.SetObjectiveCoef(i, c[i])
-				bound := make([]float64, nvars)
-				bound[i] = 1
-				p.AddDense(bound, LE, u)
-			}
-			for r := range a {
-				p.AddDense(a[r], LE, b[r])
-			}
-			return p
-		}
-		ds, derr := build().Solve()
-		rs, rerr := build().SolveRevised()
-		if (derr == nil) != (rerr == nil) || ds.Status != rs.Status {
-			t.Fatalf("trial %d: dense (%v, %v) vs revised (%v, %v)",
-				trial, ds.Status, derr, rs.Status, rerr)
-		}
-		if derr != nil {
-			continue
-		}
-		if math.Abs(ds.Objective-rs.Objective) > 1e-6*(1+math.Abs(ds.Objective)) {
-			t.Fatalf("trial %d: dense obj %v vs revised %v", trial, ds.Objective, rs.Objective)
-		}
-	}
-}
-
-// TestRevisedRationalExactness mirrors TestRationalExactness: exact
-// fractions out of the revised path.
-func TestRevisedRationalExactness(t *testing.T) {
-	p := ratProb(2)
-	p.SetMaximize(true)
-	p.SetObjectiveCoef(0, rat.One)
-	p.SetObjectiveCoef(1, rat.One)
-	p.AddDense([]rat.Rat{rat.FromInt(3), rat.One}, LE, rat.One)
-	p.AddDense([]rat.Rat{rat.One, rat.FromInt(3)}, LE, rat.One)
-	sol, err := p.SolveRevised()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sol.Objective.Equal(rat.FromFrac(1, 2)) {
-		t.Fatalf("obj = %v, want 1/2", sol.Objective)
-	}
-	if !sol.X[0].Equal(rat.FromFrac(1, 4)) || !sol.X[1].Equal(rat.FromFrac(1, 4)) {
-		t.Fatalf("x = %v", sol.X)
+	if want := rat.FromFrac(-1, 20); !sol.Objective.Equal(want) {
+		t.Fatalf("obj = %v, want -1/20", sol.Objective)
 	}
 }
 
 // TestRevisedRefactorisation forces many pivots through a chain problem so
 // the eta file crosses revisedRefactorEvery repeatedly, and checks the
-// solution against the dense oracle — the refactorisation path's
+// solution against the chain's known optimum — the refactorisation path's
 // correctness certificate.
 func TestRevisedRefactorisation(t *testing.T) {
 	const n = 90 // > revisedRefactorEvery pivots guaranteed
-	build := func() *Problem[rat.Rat] {
-		p := ratProb(n)
-		p.SetMaximize(true)
-		vs := []int{0}
-		cs := []rat.Rat{rat.One}
-		for v := 0; v < n; v++ {
-			p.SetObjectiveCoef(v, rat.FromInt(int64(1+v%7)))
-			vs[0], cs[0] = v, rat.One
-			p.AddSparse(vs, cs, LE, rat.FromInt(int64(2+v%5)))
-		}
-		// Chain couplings x_v + x_{v+1} <= k keep pivots coming.
-		for v := 0; v+1 < n; v++ {
-			p.AddSparse([]int{v, v + 1}, []rat.Rat{rat.One, rat.One}, LE, rat.FromInt(int64(3+v%4)))
-		}
-		return p
+
+	w := func(v int) int64 { return int64(1 + v%7) } // objective
+	u := func(v int) int64 { return int64(2 + v%5) } // x_v ≤ u
+	k := func(v int) int64 { return int64(3 + v%4) } // x_v + x_{v+1} ≤ k
+	p := ratProb(n)
+	p.SetMaximize(true)
+	vs := []int{0}
+	cs := []rat.Rat{rat.One}
+	for v := 0; v < n; v++ {
+		p.SetObjectiveCoef(v, rat.FromInt(w(v)))
+		vs[0], cs[0] = v, rat.One
+		p.AddSparse(vs, cs, LE, rat.FromInt(u(v)))
 	}
-	ds, err := build().Solve()
-	if err != nil {
-		t.Fatal(err)
+	// Chain couplings x_v + x_{v+1} <= k keep pivots coming.
+	for v := 0; v+1 < n; v++ {
+		p.AddSparse([]int{v, v + 1}, []rat.Rat{rat.One, rat.One}, LE, rat.FromInt(k(v)))
 	}
+	// Each row's ones are consecutive in the variables, so the matrix is
+	// totally unimodular and the optimum is integral: a dynamic program
+	// over x_v ∈ {0..u} finds it. best[x] is the best value of x_0..x_v
+	// with x_v = x, or MinInt64 when no feasible prefix ends at x.
+	best := []int64{0} // the empty prefix
+	for v := 0; v < n; v++ {
+		next := make([]int64, u(v)+1)
+		for x := range next {
+			next[x] = math.MinInt64
+			for px, b := range best {
+				if b != math.MinInt64 && (v == 0 || int64(px+x) <= k(v-1)) {
+					next[x] = max(next[x], b+w(v)*int64(x))
+				}
+			}
+		}
+		best = next
+	}
+	want := slices.Max(best)
+
 	rv := &revised[rat.Rat]{}
-	rv.init(build())
+	rv.init(p)
 	rs := rv.solve()
 	if err := rs.Status.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !rs.Objective.Equal(ds.Objective) {
-		t.Fatalf("revised obj %v, dense %v", rs.Objective, ds.Objective)
+	if err := p.certify(&rs, rv.multipliers()); err != nil {
+		t.Fatal(err)
+	}
+	if !rs.Objective.Equal(rat.FromInt(want)) {
+		t.Fatalf("obj %v, want %d", rs.Objective, want)
 	}
 	if rs.Iterations <= revisedRefactorEvery {
 		t.Fatalf("only %d iterations; refactorisation never exercised", rs.Iterations)
@@ -267,11 +183,11 @@ func TestRevisedExactSmallRationalAllocs(t *testing.T) {
 	fp.AddDense(fcoef, LE, 20)
 	rp.AddDense(rcoef, LE, rat.FromInt(20))
 
-	fsol, err := fp.SolveRevised()
+	fsol, err := fp.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsol, err := rp.SolveRevised()
+	rsol, err := rp.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,17 +196,17 @@ func TestRevisedExactSmallRationalAllocs(t *testing.T) {
 			rsol.Objective, rsol.Iterations, fsol.Objective, fsol.Iterations)
 	}
 	floatAllocs := testing.AllocsPerRun(30, func() {
-		if _, err := fp.SolveRevised(); err != nil {
+		if _, err := fp.Solve(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	exactAllocs := testing.AllocsPerRun(30, func() {
-		if _, err := rp.SolveRevised(); err != nil {
+		if _, err := rp.Solve(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if exactAllocs != floatAllocs {
-		t.Fatalf("exact SolveRevised allocates %.1f objects/op, float %.1f: rational values escaped",
+		t.Fatalf("exact Solve allocates %.1f objects/op, float %.1f: rational values escaped",
 			exactAllocs, floatAllocs)
 	}
 }

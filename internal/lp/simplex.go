@@ -65,6 +65,11 @@ var (
 	ErrIterLimit  = fmt.Errorf("%w: iteration limit reached", ErrNotOptimal)
 )
 
+// ErrCertificate is wrapped by Solve when an Optimal or Infeasible result
+// fails its duality certificate (see certify): the solver is at fault, not
+// the program. It does not wrap ErrNotOptimal.
+var ErrCertificate = errors.New("lp: result fails its certificate")
+
 // Err returns the typed sentinel for a non-optimal status, or nil for
 // Optimal.
 func (s Status) Err() error {
@@ -82,10 +87,10 @@ func (s Status) Err() error {
 }
 
 // constraint is one row Σ coefs[k]·x[vars[k]] rel rhs, stored sparsely.
-// Entries may repeat a variable; consumers accumulate. Sparse rows are what
-// let both solvers scale: the dense tableau scatters them once into its
-// rows, and the revised solver transposes them into sparse columns, so a
-// System (1) program with ~95% zeros never materialises its zero entries.
+// Entries may repeat a variable; consumers accumulate. The solver
+// transposes the rows into sparse columns, so a System (1) program with
+// ~95% zeros never materialises its zero entries; certify reads the rows
+// as they were added.
 type constraint[T any] struct {
 	vars  []int
 	coefs []T
@@ -121,12 +126,6 @@ func New[T any](ops Ops[T], nvars int) *Problem[T] {
 	}
 	return &Problem[T]{ops: ops, nvars: nvars, obj: obj}
 }
-
-// NumVars returns the number of variables.
-func (p *Problem[T]) NumVars() int { return p.nvars }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem[T]) NumConstraints() int { return len(p.cons) }
 
 // SetObjectiveCoef sets the objective coefficient of variable v.
 func (p *Problem[T]) SetObjectiveCoef(v int, c T) {
@@ -179,352 +178,108 @@ func (p *Problem[T]) AddSparse(vars []int, coefs []T, rel Rel, rhs T) {
 	c.rel, c.rhs = rel, rhs
 }
 
-// Solution is the result of a successful solve.
+// Solution is the result of a solve.
 type Solution[T any] struct {
 	Status     Status
-	X          []T // variable values, length NumVars
+	X          []T // variable values, one per variable (Optimal only)
 	Objective  T   // objective value in the problem's own sense
 	Iterations int
 }
 
-// Solve runs the two-phase primal simplex method on a dense tableau and
+// Solve runs the two-phase sparse revised simplex method (revised.go) and
 // returns the optimal solution, or an error wrapping ErrNotOptimal (with
-// the non-optimal Solution) if the problem is infeasible or unbounded.
-// Every solve allocates its own tableau, and the Solution is the caller's.
+// the non-optimal Solution) if the problem is infeasible, unbounded or hits
+// the iteration cap. Every Optimal and Infeasible result is checked against
+// p's own rows before it is returned (certify); a result that fails the
+// check returns ErrCertificate. Every solve allocates its own working
+// state, and the Solution is the caller's.
 func (p *Problem[T]) Solve() (*Solution[T], error) {
-	sol := newTableau(p).solve()
+	rv := &revised[T]{}
+	rv.init(p)
+	sol := rv.solve()
+	if sol.Status == Optimal || sol.Status == Infeasible {
+		if err := p.certify(&sol, rv.multipliers()); err != nil {
+			return &sol, err
+		}
+	}
 	return &sol, sol.Status.Err()
 }
 
-// tableau is the dense simplex working state in standard equality form
-// min c·x, Ax = b, x ≥ 0 with b ≥ 0.
-type tableau[T any] struct {
-	ops   Ops[T]
-	prob  *Problem[T]
-	m, n  int   // rows, structural+slack columns (artificials after n)
-	a     [][]T // m rows × (n + nart) coefficient matrix
-	b     []T   // m, right-hand sides (kept ≥ 0)
-	basis []int // m, column index basic in each row
-	z     []T   // reduced-cost scratch of optimize
-	nart  int
-	iters int
-}
-
-const maxIterFactor = 200 // iteration cap = maxIterFactor * (m + n)
-
-// newTableau scatters p's sparse rows into a fresh tableau.
+// certify checks an Optimal or Infeasible result against p's own rows and
+// objective, never the solver's column matrix or costs. y holds one
+// multiplier per row of p, for the problem in minimisation form (objective
+// σ·c, σ = −1 when maximising). y must be sign-feasible for the dual: y_r
+// ≤ 0 on ≤ rows, ≥ 0 on ≥ rows, free on equalities. Every reduced cost
+// d_j = σc_j − y·A_j must be ≥ 0, with c read as zero for Infeasible.
 //
-//stretch:noalloc
-func newTableau[T any](p *Problem[T]) *tableau[T] {
+// For Optimal, x must satisfy every row and x ≥ 0, Objective must be c·x,
+// and σ·c·x must equal y·b. Weak duality then makes x optimal. For
+// Infeasible, y is a Farkas certificate: y·A ≤ 0 with y·b > 0, and no x ≥ 0
+// satisfies the rows. Comparisons go through Ops.Sign and Ops.Cmp, so they
+// are exact on RatOps and within Eps on Float64Ops.
+func (p *Problem[T]) certify(sol *Solution[T], y []T) error {
 	ops := p.ops
-	m := len(p.cons)
-	nSlack := 0
-	for _, c := range p.cons {
-		if c.rel != EQ {
-			nSlack++
+	optimal := sol.Status == Optimal
+	d := make([]T, p.nvars)
+	for j := range d {
+		d[j] = ops.Zero()
+		if optimal {
+			d[j] = p.obj[j]
+			if p.maximize {
+				d[j] = ops.Neg(d[j])
+			}
 		}
 	}
-	n := p.nvars + nSlack
-	t := &tableau[T]{ops: ops, prob: p, m: m, n: n} //stretch:alloc-ok — per-solve state
-	t.a = make([][]T, m)                            //stretch:alloc-ok — per-solve state
-	t.b = make([]T, m)                              //stretch:alloc-ok — per-solve state
-	t.basis = make([]int, m)                        //stretch:alloc-ok — per-solve state
-
-	// Rows are sized to the full phase-1 width n+m up front, with the
-	// artificial columns zeroed, so solve() fills them in place instead of
-	// appending.
-	width := n + m
-	slack := p.nvars
+	yb := ops.Zero()
 	for r := range p.cons {
 		c := &p.cons[r]
-		row := make([]T, width) //stretch:alloc-ok — per-solve state
-		for j := range row {
-			row[j] = ops.Zero()
+		if s := ops.Sign(y[r]); c.rel == LE && s > 0 || c.rel == GE && s < 0 {
+			return fmt.Errorf("%w: row %d (%v) has a multiplier of sign %+d", ErrCertificate, r, c.rel, s)
 		}
 		for k, v := range c.vars {
-			row[v] = ops.Add(row[v], c.coefs[k])
+			d[v] = ops.MulSub(d[v], y[r], c.coefs[k])
 		}
-		rhs := c.rhs
-		switch c.rel {
-		case LE:
-			row[slack] = ops.One()
-			slack++
-		case GE:
-			row[slack] = ops.Neg(ops.One())
-			slack++
+		yb = ops.MulAdd(yb, y[r], c.rhs)
+	}
+	for j := range d {
+		if ops.Sign(d[j]) < 0 {
+			return fmt.Errorf("%w: variable %d has a negative reduced cost", ErrCertificate, j)
 		}
-		// Normalise to rhs ≥ 0 so phase 1 can start from the artificials.
-		if ops.Sign(rhs) < 0 {
-			for j := range row {
-				row[j] = ops.Neg(row[j])
-			}
-			rhs = ops.Neg(rhs)
+	}
+	if !optimal {
+		if ops.Sign(yb) <= 0 {
+			return fmt.Errorf("%w: infeasibility multipliers give y·b ≤ 0", ErrCertificate)
 		}
-		t.a[r] = row
-		t.b[r] = rhs
-	}
-	return t
-}
-
-//stretch:noalloc
-func (t *tableau[T]) solve() Solution[T] {
-	ops := t.ops
-
-	// Phase 1: one artificial per row (columns pre-zeroed by newTableau),
-	// minimise their sum.
-	t.nart = t.m
-	for r := 0; r < t.m; r++ {
-		t.a[r][t.n+r] = ops.One()
-		t.basis[r] = t.n + r
-	}
-	phase1Obj := make([]T, t.n+t.nart) //stretch:alloc-ok — per-solve buffer
-	for j := 0; j < t.n; j++ {
-		phase1Obj[j] = ops.Zero()
-	}
-	for j := t.n; j < t.n+t.nart; j++ {
-		phase1Obj[j] = ops.One()
-	}
-	status, val := t.optimize(phase1Obj)
-	if status != Optimal {
-		return Solution[T]{Status: status, Iterations: t.iters}
-	}
-	if ops.Sign(val) > 0 {
-		return Solution[T]{Status: Infeasible, Iterations: t.iters}
-	}
-	t.driveOutArtificials()
-	// Drop artificial columns and any redundant row whose artificial could
-	// not be driven out (such rows are identically zero with zero rhs).
-	keep := 0
-	for r := 0; r < t.m; r++ {
-		if t.basis[r] >= t.n {
-			continue
-		}
-		t.a[keep] = t.a[r][:t.n]
-		t.basis[keep] = t.basis[r]
-		t.b[keep] = t.b[r]
-		keep++
-	}
-	t.a = t.a[:keep]
-	t.basis = t.basis[:keep]
-	t.b = t.b[:keep]
-	t.m = keep
-	t.nart = 0
-
-	// Phase 2: original objective (negated if maximising).
-	obj := make([]T, t.n) //stretch:alloc-ok — per-solve buffer
-	for j := range obj {
-		obj[j] = ops.Zero()
-	}
-	for j := 0; j < t.prob.nvars; j++ {
-		c := t.prob.obj[j]
-		if t.prob.maximize {
-			c = ops.Neg(c)
-		}
-		obj[j] = c
-	}
-	status, val = t.optimize(obj)
-	if status != Optimal {
-		return Solution[T]{Status: status, Iterations: t.iters}
+		return nil
 	}
 
-	x := make([]T, t.prob.nvars) //stretch:alloc-ok — the returned solution
-	for j := range x {
-		x[j] = ops.Zero()
-	}
-	for r, bj := range t.basis {
-		if bj < t.prob.nvars {
-			x[bj] = t.b[r]
+	for j, x := range sol.X {
+		if ops.Sign(x) < 0 {
+			return fmt.Errorf("%w: variable %d is negative", ErrCertificate, j)
 		}
 	}
-	if t.prob.maximize {
-		val = ops.Neg(val)
-	}
-	return Solution[T]{Status: Optimal, X: x, Objective: val, Iterations: t.iters}
-}
-
-// driveOutArtificials pivots any artificial variable that is still basic at
-// value zero out of the basis (or verifies its row is redundant).
-//
-//stretch:noalloc
-func (t *tableau[T]) driveOutArtificials() {
-	ops := t.ops
-	for r := 0; r < t.m; r++ {
-		if t.basis[r] < t.n {
-			continue
+	for r := range p.cons {
+		c := &p.cons[r]
+		ax := ops.Zero()
+		for k, v := range c.vars {
+			ax = ops.MulAdd(ax, c.coefs[k], sol.X[v])
 		}
-		// Find any non-artificial column with a nonzero coefficient.
-		pivoted := false
-		for j := 0; j < t.n; j++ {
-			if ops.Sign(t.a[r][j]) != 0 {
-				t.pivot(r, j)
-				pivoted = true
-				break
-			}
-		}
-		if !pivoted {
-			// Redundant row: every structural coefficient is zero, and so is
-			// b (phase 1 ended at zero). Leave the artificial basic at zero;
-			// it can never turn positive because its row is identically zero.
-			continue
+		if s := ops.Cmp(ax, c.rhs); c.rel == LE && s > 0 || c.rel == GE && s < 0 || c.rel == EQ && s != 0 {
+			return fmt.Errorf("%w: x violates row %d (%v)", ErrCertificate, r, c.rel)
 		}
 	}
-}
-
-// optimize runs primal simplex iterations for the reduced costs of obj.
-// It returns Optimal with the objective value, or Unbounded / IterLimit.
-//
-//stretch:noalloc
-func (t *tableau[T]) optimize(obj []T) (Status, T) {
-	ops := t.ops
-	width := t.n + t.nart
-	// z[j] = reduced cost of column j; zval = current objective value.
-	t.z = growSlice(t.z, width)
-	z := t.z
-	limit := maxIterFactor * (t.m + width + 1)
-
-	recompute := func() T { //stretch:alloc-ok — non-escaping closure
-		// reduced cost c_j - c_B · B^{-1} A_j, computed from the tableau:
-		// since rows are already B^{-1}A, it is c_j - Σ_r c_basis[r]·a[r][j].
-		val := ops.Zero()
-		for j := 0; j < width; j++ {
-			z[j] = obj[j]
-		}
-		for r := 0; r < t.m; r++ {
-			cb := obj[t.basis[r]]
-			if ops.Sign(cb) == 0 {
-				continue
-			}
-			ncb := ops.Neg(cb)
-			row := t.a[r]
-			for j := 0; j < width; j++ {
-				z[j] = ops.MulAdd(z[j], ncb, row[j])
-			}
-			val = ops.MulAdd(val, cb, t.b[r])
-		}
-		return val
+	cx := ops.Zero()
+	for j, x := range sol.X {
+		cx = ops.MulAdd(cx, p.obj[j], x)
 	}
-	val := recompute()
-
-	bland := false
-	for iter := 0; ; iter++ {
-		if iter > limit {
-			return IterLimit, val
-		}
-		t.iters++
-		// After many Dantzig iterations, switch to Bland's rule, which
-		// guarantees termination in the presence of degeneracy.
-		if iter > 4*(t.m+width) {
-			bland = true
-		}
-
-		enter := -1
-		if bland {
-			for j := 0; j < width; j++ {
-				if t.isBasic(j) {
-					continue
-				}
-				if ops.Sign(z[j]) < 0 {
-					enter = j
-					break
-				}
-			}
-		} else {
-			var best T
-			for j := 0; j < width; j++ {
-				if ops.Sign(z[j]) < 0 && (enter == -1 || ops.Cmp(z[j], best) < 0) {
-					enter, best = j, z[j]
-				}
-			}
-		}
-		if enter == -1 {
-			return Optimal, val
-		}
-
-		// Ratio test: leaving row minimises b_r / a[r][enter] over positive
-		// pivot entries; ties broken by smallest basis index (lexicographic
-		// enough for our sizes together with the Bland fallback).
-		leave := -1
-		var bestRatio T
-		for r := 0; r < t.m; r++ {
-			arj := t.a[r][enter]
-			if ops.Sign(arj) <= 0 {
-				continue
-			}
-			ratio := ops.Div(t.b[r], arj)
-			if leave == -1 || ops.Cmp(ratio, bestRatio) < 0 ||
-				(ops.Cmp(ratio, bestRatio) == 0 && t.basis[r] < t.basis[leave]) {
-				leave, bestRatio = r, ratio
-			}
-		}
-		if leave == -1 {
-			return Unbounded, val
-		}
-
-		t.pivot(leave, enter)
-
-		// Update reduced costs incrementally: z ← z - z[enter]·(pivot row).
-		ze := z[enter]
-		if ops.Sign(ze) != 0 {
-			nze := ops.Neg(ze)
-			row := t.a[leave]
-			for j := 0; j < width; j++ {
-				z[j] = ops.MulAdd(z[j], nze, row[j])
-			}
-			val = ops.MulAdd(val, ze, t.b[leave])
-		}
-		z[enter] = ops.Zero()
+	if ops.Cmp(cx, sol.Objective) != 0 {
+		return fmt.Errorf("%w: the objective is not c·x", ErrCertificate)
 	}
-}
-
-//stretch:noalloc
-func (t *tableau[T]) isBasic(col int) bool {
-	for _, b := range t.basis {
-		if b == col {
-			return true
-		}
+	if p.maximize {
+		cx = ops.Neg(cx)
 	}
-	return false
-}
-
-// pivot makes column col basic in row row using Gauss-Jordan elimination.
-//
-//stretch:noalloc
-func (t *tableau[T]) pivot(row, col int) {
-	ops := t.ops
-	width := len(t.a[row])
-	piv := t.a[row][col]
-	if ops.Sign(piv) == 0 {
-		panic("lp: zero pivot")
+	if ops.Cmp(cx, yb) != 0 {
+		return fmt.Errorf("%w: c·x and y·b differ", ErrCertificate)
 	}
-	inv := ops.Div(ops.One(), piv)
-	prow := t.a[row]
-	for j := 0; j < width; j++ {
-		prow[j] = ops.Mul(prow[j], inv)
-	}
-	prow[col] = ops.One() // avoid drift in the float backend
-	t.b[row] = ops.Mul(t.b[row], inv)
-
-	for r := 0; r < t.m; r++ {
-		if r == row {
-			continue
-		}
-		factor := t.a[r][col]
-		if ops.Sign(factor) == 0 {
-			t.a[r][col] = ops.Zero()
-			continue
-		}
-		nf := ops.Neg(factor)
-		arow := t.a[r]
-		for j := 0; j < width; j++ {
-			arow[j] = ops.MulAdd(arow[j], nf, prow[j])
-		}
-		arow[col] = ops.Zero()
-		t.b[r] = ops.MulAdd(t.b[r], nf, t.b[row])
-		// Degenerate negative dust from float cancellation: clamp to zero so
-		// the ratio test stays consistent.
-		if ops.Sign(t.b[r]) < 0 {
-			t.b[r] = ops.Zero()
-		}
-	}
-	t.basis[row] = col
+	return nil
 }

@@ -82,7 +82,7 @@ func cutStream(t *testing.T, inst *model.Instance, ops []byte, ties bool) {
 			})
 		}
 		fresh := &Problem{Inst: inst, Tasks: slices.Clone(pooled.Tasks)}
-		want, werr := OracleStretch(&Problem{Inst: inst, Tasks: slices.Clone(pooled.Tasks)}, false)
+		want, werr := OracleStretch(&Problem{Inst: inst, Tasks: slices.Clone(pooled.Tasks)})
 		slow, serr := exactPhaseOnly(fresh)
 		got, gerr := s.OptimalStretch(pooled)
 		if (werr == nil) != (gerr == nil) || (werr == nil) != (serr == nil) {

@@ -150,36 +150,30 @@ func TestExactFloatHeavySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestExactDenseMatchesRevised: System (1) on the sparse revised simplex
-// and on the dense tableau — the two oracles of the parametric cut — agree
-// on the exact optimal stretch with each other and with the cut, not
-// within a tolerance but as identical rationals, across random instances.
-// The witness allocations may differ (degenerate optima have many
-// vertices, and the cut's witness is a flow), but all must be valid.
-func TestExactDenseMatchesRevised(t *testing.T) {
+// TestExactOracleMatchesCut: System (1) on the certified rational simplex
+// — the oracle of the parametric cut — agrees with the cut on the exact
+// optimal stretch, not within a tolerance but as identical rationals,
+// across random instances. The witness allocations may differ (degenerate
+// optima have many vertices, and the cut's witness is a flow), but both
+// must be valid.
+func TestExactOracleMatchesCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 8; trial++ {
 		inst := randomInstance(t, rng, 1+rng.Intn(2), 1+rng.Intn(2), 2+rng.Intn(5))
 
-		rsol, err := OracleStretch(FromInstance(inst), false)
+		osol, err := OracleStretch(FromInstance(inst))
 		if err != nil {
-			t.Fatalf("trial %d revised: %v", trial, err)
-		}
-		dsol, err := OracleStretch(FromInstance(inst), true)
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
+			t.Fatalf("trial %d oracle: %v", trial, err)
 		}
 		exact := Solver{Exact: true}
 		csol, err := exact.OptimalStretch(FromInstance(inst))
 		if err != nil {
 			t.Fatalf("trial %d cut: %v", trial, err)
 		}
-		if rsol.ExactStretch.Cmp(dsol.ExactStretch) != 0 || csol.ExactStretch.Cmp(rsol.ExactStretch) != 0 {
-			t.Fatalf("trial %d: revised stretch %v, dense %v, cut %v",
-				trial, rsol.ExactStretch, dsol.ExactStretch, csol.ExactStretch)
+		if csol.ExactStretch.Cmp(osol.ExactStretch) != 0 {
+			t.Fatalf("trial %d: oracle stretch %v, cut %v", trial, osol.ExactStretch, csol.ExactStretch)
 		}
-		checkAlloc(t, rsol.Alloc)
-		checkAlloc(t, dsol.Alloc)
+		checkAlloc(t, osol.Alloc)
 		checkAlloc(t, csol.Alloc)
 	}
 }
@@ -206,8 +200,8 @@ func TestExactStretchIsRational(t *testing.T) {
 }
 
 // BenchmarkExactOracle times the exact refinement against the System (1)
-// linear programs it replaced, which stay as its test oracles: the sparse
-// revised simplex and the dense tableau, on the paper's 3-site shape.
+// linear program it replaced, which stays as its test oracle on the
+// certified rational simplex, on the paper's 3-site shape.
 func BenchmarkExactOracle(b *testing.B) {
 	inst, err := workload.Config{
 		Sites: 3, Databanks: 3, Availability: 0.6, Density: 1.5,
@@ -225,17 +219,11 @@ func BenchmarkExactOracle(b *testing.B) {
 			}
 		}
 	})
-	for _, dense := range []bool{false, true} {
-		name := "lp-revised"
-		if dense {
-			name = "lp-dense"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := OracleStretch(prob, dense); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("lp-revised", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := OracleStretch(prob); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

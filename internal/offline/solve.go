@@ -106,24 +106,24 @@ func (s *Solver) bracket(p *Problem) (*Solution, float64, float64, error) {
 }
 
 // OracleStretch is the Exact-mode OptimalStretch with System (1) solved as
-// a linear program on the rational revised simplex (dense: the dense
-// tableau) in place of the parametric cut. System (1) has a unique optimum,
-// so both return the same ExactStretch; this is the differential oracle of
-// the cut's tests and no production path calls it.
-func OracleStretch(p *Problem, dense bool) (*Solution, error) {
+// a linear program on the rational simplex, whose every result is
+// certified, in place of the parametric cut. System (1) has a unique
+// optimum, so both return the same ExactStretch; this is the differential
+// oracle of the cut's tests and no production path calls it.
+func OracleStretch(p *Problem) (*Solution, error) {
 	s := Solver{Exact: true}
 	sol, flo, fhi, err := s.bracket(p)
 	if sol != nil || err != nil {
 		return sol, err
 	}
-	return p.refineExact(flo, fhi, dense)
+	return p.refineExact(flo, fhi)
 }
 
 // refineExact solves System (1) on [flo, fhi] with exact rational
 // arithmetic: minimise F subject to the interval-capacity and completion
 // constraints, the interval bounds being affine functions of F with the
 // ordering frozen inside the bracket.
-func (p *Problem) refineExact(flo, fhi float64, dense bool) (*Solution, error) {
+func (p *Problem) refineExact(flo, fhi float64) (*Solution, error) {
 	mid := flo + (fhi-flo)/2
 	bounds := p.intervalAffines(mid)
 	nT := len(bounds) - 1
@@ -184,12 +184,7 @@ func (p *Problem) refineExact(flo, fhi float64, dense bool) (*Solution, error) {
 		prob.AddSparse(vs, cs, lp.EQ, rat.FromFloat(p.Tasks[k].Work))
 	}
 
-	var sol *lp.Solution[rat.Rat]
-	if dense {
-		sol, err = prob.Solve()
-	} else {
-		sol, err = prob.SolveRevised()
-	}
+	sol, err := prob.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("offline: System (1) refinement: %w", err)
 	}

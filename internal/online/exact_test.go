@@ -34,7 +34,7 @@ func TestEGDFExactMatchesOracle(t *testing.T) {
 			e.solve = func(s *offline.Solver, p *offline.Problem) (*offline.Solution, error) {
 				// The oracle runs first: both solutions live in the
 				// workspace's one solution slot.
-				want, werr := offline.OracleStretch(p, false)
+				want, werr := offline.OracleStretch(p)
 				var wantX rat.Rat
 				if werr == nil {
 					wantX = want.ExactStretch

@@ -115,7 +115,7 @@ func gcd64(a, b uint64) uint64 {
 	}
 	if a == 1 || b == 1 {
 		// Unit operands are everywhere in simplex data (integer values have
-		// den == 1, tableaus are 0/±1-heavy); without this exit the binary
+		// den == 1, and LP matrices are 0/±1-heavy); without this exit the binary
 		// loop grinds a unit down one subtract-and-shift at a time.
 		return 1
 	}
@@ -518,7 +518,7 @@ func (a Rat) Mul(b Rat) Rat {
 		}
 	}
 	// Annihilator and unit shortcuts keep the mixed path allocation-free
-	// on the 0/±1 entries that dominate simplex tableaus.
+	// on the 0/±1 entries that dominate LP matrices.
 	if a.isSmall() {
 		switch {
 		case a.den == 0:

@@ -174,6 +174,37 @@ func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 		return nil, reject(CodeBadState, "checkpoint has %d/%d quantile states, want 3/3",
 			len(ck.QStretch), len(ck.QFlow))
 	}
+	for i, p := range quantileLevels {
+		if ck.QStretch[i].P != p || ck.QFlow[i].P != p {
+			return nil, reject(CodeBadState, "checkpoint quantile state %d targets %v/%v, want %v",
+				i, ck.QStretch[i].P, ck.QFlow[i].P, p)
+		}
+	}
+	// The dynamic state must be one a daemon can reach: the clock is never
+	// negative and never behind a live job's release, a live job's remaining
+	// work lies in [0, Size], and live sequence numbers are distinct and
+	// below NextSeq. The negated comparisons also refuse NaN.
+	if !(ck.Now >= 0) {
+		return nil, reject(CodeBadState, "checkpoint clock %v is negative", ck.Now)
+	}
+	seqs := make(map[uint64]bool)
+	for i, sc := range ck.Slots {
+		if !sc.Live {
+			continue
+		}
+		switch {
+		case sc.Release > ck.Now:
+			return nil, reject(CodeBadState, "slot %d released at %v, after the checkpoint clock %v",
+				i, sc.Release, ck.Now)
+		case !(sc.Remaining >= 0 && sc.Remaining <= sc.Size):
+			return nil, reject(CodeBadState, "slot %d has remaining work %v outside [0, %v]",
+				i, sc.Remaining, sc.Size)
+		case sc.Seq >= ck.NextSeq || seqs[sc.Seq]:
+			return nil, reject(CodeBadState, "slot %d has sequence number %d, repeated or not below %d",
+				i, sc.Seq, ck.NextSeq)
+		}
+		seqs[sc.Seq] = true
+	}
 	slots := make([]model.Job, len(ck.Slots))
 	live := make([]bool, len(ck.Slots))
 	for i, sc := range ck.Slots {

@@ -162,11 +162,14 @@ type quantiles struct {
 	n             uint64
 }
 
+// quantileLevels are the targets of p50, p90 and p99, in checkpoint order.
+var quantileLevels = [3]float64{0.5, 0.9, 0.99}
+
 func newQuantiles() quantiles {
 	return quantiles{
-		p50: stats.NewP2Quantile(0.5),
-		p90: stats.NewP2Quantile(0.9),
-		p99: stats.NewP2Quantile(0.99),
+		p50: stats.NewP2Quantile(quantileLevels[0]),
+		p90: stats.NewP2Quantile(quantileLevels[1]),
+		p99: stats.NewP2Quantile(quantileLevels[2]),
 	}
 }
 

@@ -225,6 +225,81 @@ func withSession(t *testing.T, enc []byte) []byte {
 	return out
 }
 
+// TestRestoreRefusesUnreachableState edits one field of a real 6-job SWRPT
+// checkpoint at a time. Each edit is a state no daemon reaches, and Restore
+// must refuse it with CodeBadState; the unedited checkpoint restores.
+func TestRestoreRefusesUnreachableState(t *testing.T) {
+	inst := testWorkload(t)
+	cfg := func() Config {
+		sched, err := core.New("SWRPT")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Platform: inst.Platform, Scheduler: sched}
+	}
+	loop, err := New(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, loop, inst.Jobs[:6])
+	ck, err := loop.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() *Checkpoint {
+		ck, err := DecodeCheckpoint(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	if _, err := Restore(cfg(), decode()); err != nil {
+		t.Fatalf("unedited checkpoint: %v", err)
+	}
+	// a and b are two live slots, b the one released last.
+	a, b := -1, -1
+	for i, sc := range ck.Slots {
+		if !sc.Live {
+			continue
+		}
+		if a == -1 {
+			a = i
+		} else if b == -1 || sc.Release > ck.Slots[b].Release {
+			b = i
+		}
+	}
+	if b == -1 || !(ck.Slots[b].Release > 0) {
+		t.Fatalf("checkpoint needs two live slots, one released after 0: %+v", ck.Slots)
+	}
+	for _, row := range []struct {
+		name string
+		edit func(ck *Checkpoint)
+	}{
+		{"negative clock", func(ck *Checkpoint) { ck.Now = -100 }},
+		{"clock before a live release", func(ck *Checkpoint) { ck.Now = ck.Slots[b].Release / 2 }},
+		{"remaining above size", func(ck *Checkpoint) { ck.Slots[a].Remaining = 1000 * ck.Slots[a].Size }},
+		{"negative remaining", func(ck *Checkpoint) { ck.Slots[a].Remaining = -1 }},
+		{"repeated seq", func(ck *Checkpoint) { ck.Slots[b].Seq = ck.Slots[a].Seq }},
+		{"seq at NextSeq", func(ck *Checkpoint) { ck.Slots[a].Seq = ck.NextSeq }},
+		{"stretch quantile target", func(ck *Checkpoint) { ck.QStretch[1].P = 0.5 }},
+		{"flow quantile target", func(ck *Checkpoint) { ck.QFlow[2].P = 0.9 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ck := decode()
+			row.edit(ck)
+			_, err := Restore(cfg(), ck)
+			var rej *Rejection
+			if !errors.As(err, &rej) || rej.Code != CodeBadState {
+				t.Fatalf("err = %v, want %s", err, CodeBadState)
+			}
+		})
+	}
+}
+
 // firstDiff returns a window around the first differing line.
 func firstDiff(a, b string) string {
 	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
