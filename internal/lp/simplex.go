@@ -253,10 +253,12 @@ func (p *Problem[T]) certify(sol *Solution[T], y []T) error {
 		return nil
 	}
 
+	cx := ops.Zero()
 	for j, x := range sol.X {
 		if ops.Sign(x) < 0 {
 			return fmt.Errorf("%w: variable %d is negative", ErrCertificate, j)
 		}
+		cx = ops.MulAdd(cx, p.obj[j], x)
 	}
 	for r := range p.cons {
 		c := &p.cons[r]
@@ -267,10 +269,6 @@ func (p *Problem[T]) certify(sol *Solution[T], y []T) error {
 		if s := ops.Cmp(ax, c.rhs); c.rel == LE && s > 0 || c.rel == GE && s < 0 || c.rel == EQ && s != 0 {
 			return fmt.Errorf("%w: x violates row %d (%v)", ErrCertificate, r, c.rel)
 		}
-	}
-	cx := ops.Zero()
-	for j, x := range sol.X {
-		cx = ops.MulAdd(cx, p.obj[j], x)
 	}
 	if ops.Cmp(cx, sol.Objective) != 0 {
 		return fmt.Errorf("%w: the objective is not c·x", ErrCertificate)
