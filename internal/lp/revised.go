@@ -99,9 +99,8 @@ type revised[T any] struct {
 	iters  int
 }
 
-// init binds the solver state to p and builds the sparse column matrix.
-//
-//stretch:noalloc
+// init binds a zero revised to p, allocates its arrays and builds the
+// sparse column matrix.
 func (rv *revised[T]) init(p *Problem[T]) {
 	ops := p.ops
 	rv.ops, rv.prob = ops, p
@@ -114,8 +113,6 @@ func (rv *revised[T]) init(p *Problem[T]) {
 	}
 	n := p.nvars + nSlack
 	rv.m, rv.n = m, n
-	rv.sinceRefac, rv.baseNNZ, rv.refacs, rv.failed = 0, 0, 0, false
-	rv.cursor, rv.bland, rv.streak, rv.iters = 0, false, 0, 0
 
 	// Count entries per column (structural from the sparse rows, one slack
 	// entry per inequality row), then fill via prefix sums. Duplicate row
@@ -124,11 +121,8 @@ func (rv *revised[T]) init(p *Problem[T]) {
 	for i := range p.cons {
 		nnz += len(p.cons[i].vars)
 	}
-	rv.colStart = growIntSlice(rv.colStart, n+1)
+	rv.colStart = make([]int, n+1)
 	cnt := rv.colStart
-	for j := range cnt {
-		cnt[j] = 0
-	}
 	for i := range p.cons {
 		for _, v := range p.cons[i].vars {
 			cnt[v+1]++
@@ -144,14 +138,11 @@ func (rv *revised[T]) init(p *Problem[T]) {
 	for j := 1; j <= n; j++ {
 		cnt[j] += cnt[j-1]
 	}
-	rv.colRow = growIntSlice(rv.colRow, nnz)
-	rv.colVal = growSlice(rv.colVal, nnz)
-	rv.b = growSlice(rv.b, m)
-	// next[j] tracks the fill position of column j; reuse the pivoted /
-	// newBasis scratch for it would alias, so use a dedicated pass over
-	// colStart copied into newBasis (ints, pooled).
-	rv.newBasis = growIntSlice(rv.newBasis, n+1)
-	next := rv.newBasis
+	rv.colRow = make([]int, nnz)
+	rv.colVal = make([]T, nnz)
+	rv.b = make([]T, m)
+	// next[j] is the fill position of column j.
+	next := make([]int, n+1)
 	copy(next, cnt)
 	slack = p.nvars
 	for r := range p.cons {
@@ -186,23 +177,24 @@ func (rv *revised[T]) init(p *Problem[T]) {
 		}
 	}
 
-	rv.basis = growIntSlice(rv.basis, m)
-	rv.pos = growIntSlice(rv.pos, n+m)
+	rv.basis = make([]int, m)
+	rv.pos = make([]int, n+m)
 	for j := range rv.pos {
 		rv.pos[j] = -1
 	}
-	rv.xB = growSlice(rv.xB, m)
+	rv.xB = make([]T, m)
 	for r := 0; r < m; r++ {
 		rv.basis[r] = n + r
 		rv.pos[n+r] = r
 		rv.xB[r] = rv.b[r]
 	}
 	rv.eta.reset()
-	rv.cost = growSlice(rv.cost, n+m)
-	rv.y = growSlice(rv.y, m)
-	rv.alpha = growSlice(rv.alpha, m)
-	rv.work = growSlice(rv.work, m)
-	rv.pivoted = growBoolSlice(rv.pivoted, m)
+	rv.cost = make([]T, n+m)
+	rv.y = make([]T, m)
+	rv.alpha = make([]T, m)
+	rv.work = make([]T, m)
+	rv.pivoted = make([]bool, m)
+	rv.newBasis = make([]int, m)
 }
 
 // scatterCol writes column j (structural, slack or artificial) into the
@@ -455,7 +447,6 @@ func (rv *revised[T]) refactorize() {
 	for i := 0; i < m; i++ {
 		rv.pivoted[i] = false
 	}
-	rv.newBasis = growIntSlice(rv.newBasis, m)
 	for r := 0; r < m; r++ {
 		v := rv.basis[r]
 		rv.scatterCol(v, rv.alpha)
@@ -728,30 +719,4 @@ func (rv *revised[T]) setPhase2Costs() {
 		}
 		rv.cost[j] = c
 	}
-}
-
-// growSlice returns s resized to length n, reusing its backing array when
-// large enough. Contents are unspecified; callers refill what they read.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// growIntSlice is growSlice for []int (kept monomorphic for clarity at call
-// sites that mix element types).
-func growIntSlice(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growBoolSlice is growSlice for []bool.
-func growBoolSlice(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"stretchsched/internal/model"
 	"stretchsched/internal/stats"
@@ -180,12 +181,14 @@ func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 				i, ck.QStretch[i].P, ck.QFlow[i].P, p)
 		}
 	}
-	// The dynamic state must be one a daemon can reach: the clock is never
-	// negative and never behind a live job's release, a live job's remaining
-	// work lies in [0, Size], and live sequence numbers are distinct and
-	// below NextSeq. The negated comparisons also refuse NaN.
-	if !(ck.Now >= 0) {
-		return nil, reject(CodeBadState, "checkpoint clock %v is negative", ck.Now)
+	// The dynamic state must be one a daemon can reach: the clock is finite,
+	// never negative and at most one ulp behind a live job's release, a live
+	// job's remaining work lies in [0, Size], and live sequence numbers are
+	// distinct and below NextSeq. The ulp is the driver's: it moves the clock
+	// to a release r as Now + (r − Now), and that sum can round to the float
+	// just below r. The negated comparisons also refuse NaN.
+	if !(ck.Now >= 0) || math.IsInf(ck.Now, 1) {
+		return nil, reject(CodeBadState, "checkpoint clock %v is not a finite non-negative time", ck.Now)
 	}
 	seqs := make(map[uint64]bool)
 	for i, sc := range ck.Slots {
@@ -193,7 +196,7 @@ func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 			continue
 		}
 		switch {
-		case sc.Release > ck.Now:
+		case sc.Release > math.Nextafter(ck.Now, math.Inf(1)):
 			return nil, reject(CodeBadState, "slot %d released at %v, after the checkpoint clock %v",
 				i, sc.Release, ck.Now)
 		case !(sc.Remaining >= 0 && sc.Remaining <= sc.Size):

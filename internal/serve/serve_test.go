@@ -280,6 +280,7 @@ func TestRestoreRefusesUnreachableState(t *testing.T) {
 		edit func(ck *Checkpoint)
 	}{
 		{"negative clock", func(ck *Checkpoint) { ck.Now = -100 }},
+		{"infinite clock", func(ck *Checkpoint) { ck.Now = math.Inf(1) }},
 		{"clock before a live release", func(ck *Checkpoint) { ck.Now = ck.Slots[b].Release / 2 }},
 		{"remaining above size", func(ck *Checkpoint) { ck.Slots[a].Remaining = 1000 * ck.Slots[a].Size }},
 		{"negative remaining", func(ck *Checkpoint) { ck.Slots[a].Remaining = -1 }},
@@ -297,6 +298,68 @@ func TestRestoreRefusesUnreachableState(t *testing.T) {
 				t.Fatalf("err = %v, want %s", err, CodeBadState)
 			}
 		})
+	}
+}
+
+// TestRestoreAcceptsClockOneUlpBehindRelease restores a checkpoint whose
+// clock a daemon leaves one ulp behind a live release. An idle loop takes a
+// long job at 1+2⁻⁵², then a second job arrives at 3+2⁻⁵¹: the driver moves
+// the clock by Now + (r − Now), where r − Now = 2+2⁻⁵² rounds to 2 and the
+// sum 3+2⁻⁵² rounds to 3. The restored loop must drain exactly as the loop
+// it was taken from.
+func TestRestoreAcceptsClockOneUlpBehindRelease(t *testing.T) {
+	inst := testWorkload(t)
+	cfg := func(log io.Writer) Config {
+		sched, err := core.New("SWRPT")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Platform: inst.Platform, Scheduler: sched, DecisionLog: log}
+	}
+	var logA bytes.Buffer
+	loop, err := New(cfg(&logA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, second := inst.Jobs[0], inst.Jobs[1]
+	long.Release, long.Size = 1+0x1p-52, 1e6*long.Size
+	second.Release = 3 + 0x1p-51
+	submitAll(t, loop, []model.Job{long, second})
+	ck, err := loop.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, sc := range ck.Slots {
+		if sc.Live {
+			live++
+		}
+	}
+	if ck.Now != 3 || live != 2 {
+		t.Fatalf("checkpoint clock %v with %d live jobs, want 3 with the long job still running", ck.Now, live)
+	}
+	enc, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeCheckpoint(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logB bytes.Buffer
+	restored, err := Restore(cfg(&logB), dec)
+	if err != nil {
+		t.Fatalf("restoring a checkpoint the daemon wrote: %v", err)
+	}
+	cut := logA.Len()
+	if err := loop.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if want := logA.String()[cut:]; logB.String() != want {
+		t.Fatalf("restored drain diverges at %s", firstDiff(logB.String(), want))
 	}
 }
 
