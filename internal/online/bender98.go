@@ -1,6 +1,8 @@
 package online
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 
 	"stretchsched/internal/model"
@@ -28,9 +30,8 @@ type Bender98 struct {
 	Alpha float64
 
 	ws       *offline.Workspace
-	deadline []float64
-	released int
-	arrivals int // ctx.Arrivals at the last OnEvent
+	deadline []float64 // per slot; +Inf until a solve covers the slot
+	arrivals int       // ctx.Arrivals at the last OnEvent; -1 forces a re-solve
 
 	// A failed offline solve keeps the previous deadlines; it is counted,
 	// never swallowed. The counter resets at Init.
@@ -72,28 +73,23 @@ func (b *Bender98) Init(inst *model.Instance) {
 	for j := range b.deadline {
 		b.deadline[j] = math.Inf(1)
 	}
-	b.released, b.arrivals = 0, 0
+	b.arrivals = 0
 	b.stretchErrs = 0
 }
 
-// OnEvent recomputes deadlines when the released set changed: its count
-// moved, or jobs arrived since the last OnEvent (ctx.Arrivals, as in
-// EGDF.OnEvent). A stream adds job slots after Init, so the deadline table
-// grows to the slot count first; a batch run sized it in Init.
+// OnEvent recomputes deadlines when jobs arrived since its last call
+// (ctx.Arrivals moved, as in EGDF.OnEvent), the arrivals §4.3.2 re-solves
+// at; a completion keeps them. A stream adds job slots after Init, so the
+// deadline table grows to the slot count first; a batch run sized it in
+// Init.
 func (b *Bender98) OnEvent(ctx *sim.Ctx) {
 	for len(b.deadline) < len(ctx.Released) {
 		b.deadline = append(b.deadline, math.Inf(1))
 	}
-	released := 0
-	for _, r := range ctx.Released {
-		if r {
-			released++
-		}
-	}
-	if released == b.released && ctx.Arrivals == b.arrivals {
+	if ctx.Arrivals == b.arrivals {
 		return
 	}
-	b.released, b.arrivals = released, ctx.Arrivals
+	b.arrivals = ctx.Arrivals
 
 	// Offline problem over all released jobs, from scratch.
 	prob := b.ws.Problem(ctx.Inst)
@@ -144,4 +140,44 @@ func (b *Bender98) Less(ctx *sim.Ctx, x, y model.JobID) bool {
 		return dx < dy
 	}
 	return ctx.Inst.AloneTime(x) < ctx.Inst.AloneTime(y)
+}
+
+// bender98State is Bender98's state as a checkpoint carries it.
+type bender98State struct {
+	Stale    bool       // jobs arrived since the last OnEvent
+	Deadline []*float64 // per slot, freed ones included; nil for +Inf, which JSON lacks
+}
+
+// State implements sim.StatefulPolicy: whether jobs arrived since the last
+// OnEvent, and every slot's deadline.
+func (b *Bender98) State(ctx *sim.Ctx) ([]byte, error) {
+	st := bender98State{Stale: ctx.Arrivals != b.arrivals, Deadline: make([]*float64, len(b.deadline))}
+	for j := range b.deadline {
+		if !math.IsInf(b.deadline[j], 1) {
+			st.Deadline[j] = &b.deadline[j]
+		}
+	}
+	return json.Marshal(st)
+}
+
+// RestoreState implements sim.StatefulPolicy. It refuses more deadlines
+// than ctx has slots; JSON admits no NaN deadline.
+func (b *Bender98) RestoreState(state []byte, ctx *sim.Ctx) error {
+	var st bender98State
+	if err := json.Unmarshal(state, &st); err != nil {
+		return fmt.Errorf("Bender98 state: %w", err)
+	}
+	if len(st.Deadline) > len(ctx.Released) {
+		return fmt.Errorf("Bender98 state: %d deadlines for fewer slots", len(st.Deadline))
+	}
+	b.deadline = b.deadline[:0]
+	for _, d := range st.Deadline {
+		v := math.Inf(1)
+		if d != nil {
+			v = *d
+		}
+		b.deadline = append(b.deadline, v)
+	}
+	b.arrivals = restoredArrivals(st.Stale, ctx)
+	return nil
 }

@@ -146,7 +146,8 @@ func TestBender98SurfacesSolveFailures(t *testing.T) {
 // completion and an arrival into the freed slot happen between two
 // OnEvents, so the live count is the one the policy last saw. Online-EGDF
 // and Bender98 must still re-solve, counted through the solve seam: their
-// ranks and deadlines describe the slot's previous job.
+// ranks and deadlines describe the slot's previous job. A completion with
+// no arrival must not re-solve: §4.3.2 re-solves at arrivals only.
 func TestMissedArrivalIntoRecycledSlotResolves(t *testing.T) {
 	p, err := model.Uniform([]float64{1, 1})
 	if err != nil {
@@ -211,6 +212,19 @@ func TestMissedArrivalIntoRecycledSlotResolves(t *testing.T) {
 			d.Replan(pol)
 			if solves != 2 {
 				t.Fatalf("%d solves after an event-free replan, want 2", solves)
+			}
+			// A completion without an arrival keeps the ranks and deadlines.
+			id, _, ok = d.AdvanceToNext(math.Inf(1))
+			if !ok {
+				t.Fatal("nothing running after the second replan")
+			}
+			d.Complete(id)
+			if err := st.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			d.Replan(pol)
+			if solves != 2 {
+				t.Fatalf("%d solves after a completion without an arrival, want 2", solves)
 			}
 		})
 	}

@@ -23,6 +23,7 @@
 package online
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"stretchsched/internal/model"
@@ -169,10 +170,9 @@ type EGDF struct {
 
 	ws       *offline.Workspace
 	rank     map[model.JobID]int
-	order    []model.JobID // pooled GlobalOrder output
+	order    []model.JobID // the ranked jobs by rank; pooled GlobalOrder output
 	hasRank  bool
-	released int
-	arrivals int // ctx.Arrivals at the last OnEvent
+	arrivals int // ctx.Arrivals at the last OnEvent; -1 forces a re-solve
 
 	// Per-event solver failures are fallbacks by design (the previous
 	// priority order keeps the simulation running), but they are recorded,
@@ -219,35 +219,31 @@ func (e *EGDF) Init(*model.Instance) {
 		e.ws = offline.NewWorkspace()
 	}
 	clear(e.rank)
+	e.order = e.order[:0]
 	e.hasRank = false
-	e.released, e.arrivals = 0, 0
+	e.arrivals = 0
 	e.stretchErrs, e.refineErrs = 0, 0
 	e.lastStretchErr, e.lastRefineErr = nil, nil
 }
 
-// OnEvent recomputes the global priority list whenever the released set
-// changed. A stream clears a completed job's Released flag, so the count
-// alone can return to the value this policy last saw while another
-// policy (the serving backlog guard's fallback) ran the events between;
-// ctx.Arrivals catches the arrivals of such a gap, whose slots the old
-// ranks may no longer describe.
+// OnEvent recomputes the global priority list when jobs arrived since its
+// last call (ctx.Arrivals moved) or it has no ranking yet, as §4.3.2
+// re-solves at every arrival; a completion keeps the order. Arrivals also
+// counts the arrivals of events this policy sat out, such as the serving
+// backlog guard's degraded ones, whose recycled slots the old ranks may
+// no longer describe.
 //
 //stretch:noalloc
 func (e *EGDF) OnEvent(ctx *sim.Ctx) {
-	released := 0
-	for _, r := range ctx.Released {
-		if r {
-			released++
-		}
+	if ctx.Arrivals == e.arrivals && e.hasRank {
+		return
 	}
-	if released == e.released && ctx.Arrivals == e.arrivals && e.hasRank {
-		return // completions do not change the order
-	}
-	e.released, e.arrivals = released, ctx.Arrivals
+	e.arrivals = ctx.Arrivals
 
 	prob := e.ws.FromContext(ctx)
 	if len(prob.Tasks) == 0 {
 		clear(e.rank)
+		e.order = e.order[:0]
 		e.hasRank = true
 		return
 	}
@@ -307,4 +303,51 @@ func (e *EGDF) Less(ctx *sim.Ctx, a, b model.JobID) bool {
 		return ka < kb
 	}
 	return a < b
+}
+
+// egdfState is Online-EGDF's state as a checkpoint carries it.
+type egdfState struct {
+	Stale bool          // jobs arrived since the last OnEvent
+	Rank  []model.JobID // the ranked slots by rank, freed ones included
+}
+
+// State implements sim.StatefulPolicy: the ranking, which keeps the slots
+// of jobs completed since it was solved, and whether jobs arrived since.
+// It is nil before the first ranking, which a fresh policy also lacks.
+func (e *EGDF) State(ctx *sim.Ctx) ([]byte, error) {
+	if !e.hasRank {
+		return nil, nil
+	}
+	return json.Marshal(egdfState{Stale: ctx.Arrivals != e.arrivals, Rank: e.order})
+}
+
+// RestoreState implements sim.StatefulPolicy. It refuses a ranking that
+// names a slot twice or outside ctx's slot table.
+func (e *EGDF) RestoreState(state []byte, ctx *sim.Ctx) error {
+	var st egdfState
+	if err := json.Unmarshal(state, &st); err != nil {
+		return fmt.Errorf("Online-EGDF state: %w", err)
+	}
+	e.rank = make(map[model.JobID]int, len(st.Rank))
+	for i, j := range st.Rank {
+		if _, dup := e.rank[j]; dup || j < 0 || int(j) >= len(ctx.Released) {
+			return fmt.Errorf("Online-EGDF state: slot %d is ranked twice or is not a slot", j)
+		}
+		e.rank[j] = i
+	}
+	e.order = append(e.order[:0], st.Rank...)
+	e.hasRank = true
+	e.arrivals = restoredArrivals(st.Stale, ctx)
+	return nil
+}
+
+// restoredArrivals is the ctx.Arrivals a restored policy remembers as seen
+// at its last OnEvent: the restored count, or -1 when jobs had arrived
+// since the encoding policy's last OnEvent, so that the next OnEvent
+// re-solves as the encoding policy's would have.
+func restoredArrivals(stale bool, ctx *sim.Ctx) int {
+	if stale {
+		return -1
+	}
+	return ctx.Arrivals
 }

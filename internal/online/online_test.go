@@ -191,10 +191,11 @@ func TestBender98WeakerThanOnline(t *testing.T) {
 	}
 }
 
+// TestEGDFRanksStableAcrossCompletions: after one arrival wave, EGDF ranks
+// the jobs once and completes them in that order; the small job must not
+// finish last. It checks the completion order only. That completions do
+// not re-solve is TestMissedArrivalIntoRecycledSlotResolves's last step.
 func TestEGDFRanksStableAcrossCompletions(t *testing.T) {
-	// After the last arrival, ranks must not be recomputed (completions do
-	// not change the order); exercised implicitly by a long tail of
-	// completions after one arrival wave.
 	jobs := []model.Job{
 		{Release: 0, Size: 3, Databank: 0},
 		{Release: 0, Size: 1, Databank: 0},

@@ -11,6 +11,8 @@
 package policy
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 
 	"stretchsched/internal/model"
@@ -161,4 +163,35 @@ func (p *Bender02) Less(ctx *sim.Ctx, a, b model.JobID) bool {
 		return sa > sb // larger pseudo-stretch first
 	}
 	return ctx.Inst.AloneTime(a) < ctx.Inst.AloneTime(b)
+}
+
+// aloneRange is the state of Bender02 and ST14 as a checkpoint carries it:
+// the smallest and largest alone time seen. ST14 keeps no MaxAlone.
+type aloneRange struct {
+	MinAlone float64
+	MaxAlone float64 `json:",omitempty"`
+}
+
+// State implements sim.StatefulPolicy: the alone times ∆ spans, which
+// cover every job an OnEvent has seen, not only the live ones. It is nil
+// before the first job, as for a fresh policy.
+func (p *Bender02) State(*sim.Ctx) ([]byte, error) {
+	if math.IsInf(p.minAlone, 1) {
+		return nil, nil
+	}
+	return json.Marshal(aloneRange{MinAlone: p.minAlone, MaxAlone: p.maxAlone})
+}
+
+// RestoreState implements sim.StatefulPolicy. It refuses alone times that
+// are not positive or a minimum above the maximum.
+func (p *Bender02) RestoreState(state []byte, _ *sim.Ctx) error {
+	var st aloneRange
+	if err := json.Unmarshal(state, &st); err != nil {
+		return fmt.Errorf("Bender02 state: %w", err)
+	}
+	if !(st.MinAlone > 0 && st.MinAlone <= st.MaxAlone) {
+		return fmt.Errorf("Bender02 state: alone times [%v, %v] are not a positive range", st.MinAlone, st.MaxAlone)
+	}
+	p.minAlone, p.maxAlone = st.MinAlone, st.MaxAlone
+	return nil
 }

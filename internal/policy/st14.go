@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 
 	"stretchsched/internal/model"
@@ -41,6 +43,30 @@ func (p *ST14) OnEvent(ctx *sim.Ctx) {
 			p.minAlone = math.Min(p.minAlone, ctx.Inst.AloneTime(model.JobID(j)))
 		}
 	}
+}
+
+// State implements sim.StatefulPolicy: the smallest alone time seen, over
+// every job an OnEvent has seen, not only the live ones. It is nil before
+// the first job, as for a fresh policy.
+func (p *ST14) State(*sim.Ctx) ([]byte, error) {
+	if math.IsInf(p.minAlone, 1) {
+		return nil, nil
+	}
+	return json.Marshal(aloneRange{MinAlone: p.minAlone})
+}
+
+// RestoreState implements sim.StatefulPolicy. It refuses an alone time
+// that is not positive.
+func (p *ST14) RestoreState(state []byte, _ *sim.Ctx) error {
+	var st aloneRange
+	if err := json.Unmarshal(state, &st); err != nil {
+		return fmt.Errorf("ST14 state: %w", err)
+	}
+	if !(st.MinAlone > 0) {
+		return fmt.Errorf("ST14 state: smallest alone time %v is not positive", st.MinAlone)
+	}
+	p.minAlone = st.MinAlone
+	return nil
 }
 
 // class returns the geometric size class of job j relative to the smallest

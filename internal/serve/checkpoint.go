@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"stretchsched/internal/model"
+	"stretchsched/internal/sim"
 	"stretchsched/internal/stats"
 )
 
@@ -60,6 +61,15 @@ type Checkpoint struct {
 	// (see RecoverLogFile). Absent in older checkpoints (decodes as 0).
 	LogRecords uint64 `json:",omitempty"`
 	Rejected   map[string]uint64
+	// Running lists the slots served at the checkpoint in priority order,
+	// from which Restore rebuilds the allocation instead of replanning.
+	// Absent in older checkpoints and at an idle loop.
+	Running []model.JobID `json:",omitempty"`
+	// PolicyState holds, by policy name, the cross-event state of the
+	// primary policy and of the guard's fallback, for each that keeps one
+	// (sim.StatefulPolicy). A policy without an entry restores fresh, as
+	// every policy did from checkpoints older than this field.
+	PolicyState map[string]json.RawMessage `json:",omitempty"`
 }
 
 // Checkpoint snapshots the loop. The snapshot is taken at the loop's
@@ -104,7 +114,7 @@ func (l *Loop) Checkpoint() (ck *Checkpoint, err error) {
 		Submitted: l.counters.Submitted, CompletedN: l.counters.CompletedN,
 		Events: l.counters.Events, Checkpoints: l.counters.Checkpoints,
 		Switches: l.counters.Switches, Panics: l.counters.Panics,
-		Rejected: map[string]uint64{},
+		Rejected: map[string]uint64{}, PolicyState: map[string]json.RawMessage{},
 	}
 	for k, v := range l.counters.Rejected {
 		ck.Rejected[k] = v
@@ -123,7 +133,39 @@ func (l *Loop) Checkpoint() (ck *Checkpoint, err error) {
 	}
 	ck.Free = free
 	ck.Recents = l.recents.Snapshot(nil)
+	if l.drv.NumActive() > 0 {
+		ck.Running = append(ck.Running, l.drv.Running()...)
+	}
+	for _, p := range l.policies() {
+		sp, ok := p.pol.(sim.StatefulPolicy)
+		if !ok {
+			continue
+		}
+		st, err := sp.State(l.drv.Ctx())
+		if err != nil {
+			return nil, fmt.Errorf("serve: encoding %s state: %w", p.name, err)
+		}
+		if st != nil {
+			ck.PolicyState[p.name] = st
+		}
+	}
 	return ck, nil
+}
+
+// namedPolicy is one policy the loop runs, under its registry name.
+type namedPolicy struct {
+	name string
+	pol  sim.Policy
+}
+
+// policies returns the primary policy and, with the guard armed, its
+// fallback.
+func (l *Loop) policies() []namedPolicy {
+	ps := []namedPolicy{{l.name, l.pol}}
+	if l.fbPol != nil {
+		ps = append(ps, namedPolicy{l.fbName, l.fbPol})
+	}
+	return ps
 }
 
 // Encode renders the checkpoint as deterministic JSON (fixed field order,
@@ -160,9 +202,8 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 }
 
 // Restore builds a loop from cfg resumed at ck: the stream slot table,
-// driver clock and per-slot remaining work, recents ring, quantile
-// estimators and counters are all rebuilt, then one unlogged replan
-// re-establishes rates and the policy's priority order.
+// driver clock and per-slot remaining work, policy state, allocation,
+// recents ring, quantile estimators and counters are all rebuilt.
 func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 	l, err := New(cfg)
 	if err != nil {
@@ -235,6 +276,21 @@ func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 	}
 	l.drv.RestoreActive(active, rem)
 	l.drv.SetNow(ck.Now)
+	// A state is restored into the policy of its name; one for a fallback
+	// this daemon no longer runs is not needed.
+	for _, p := range l.policies() {
+		st, ok := ck.PolicyState[p.name]
+		if !ok {
+			continue
+		}
+		sp, ok := p.pol.(sim.StatefulPolicy)
+		if !ok {
+			return nil, reject(CodeBadState, "checkpoint carries state for %s, which keeps none", p.name)
+		}
+		if err := sp.RestoreState(st, l.drv.Ctx()); err != nil {
+			return nil, reject(CodeBadState, "%v", err)
+		}
+	}
 	l.seq = ck.NextSeq
 	for _, rec := range ck.Recents {
 		l.recents.Push(rec)
@@ -263,12 +319,18 @@ func Restore(cfg Config, ck *Checkpoint) (*Loop, error) {
 	for k, v := range ck.Rejected {
 		l.counters.Rejected[k] = v
 	}
-	// Re-establish rates and the policy's order without logging: this
-	// recomputation replaces in-memory state the interrupted daemon already
-	// had, it is not a new decision. The guard mode is recomputed the same
-	// way — derived, not decoded, and no transition is counted.
+	// The guard mode is derived, not decoded, and no transition is counted.
+	// The allocation is the checkpointed one, not a new decision: a replan
+	// at a checkpoint between two events could rank by ages or remaining
+	// work the interrupted daemon never ranked at. Older checkpoints carry
+	// no Running list, so one unlogged replan rebuilds it.
 	l.degraded = l.guardMode()
-	if l.drv.NumActive() > 0 {
+	switch {
+	case len(ck.Running) > 0:
+		if err := l.drv.RestoreRunning(ck.Running); err != nil {
+			return nil, reject(CodeBadState, "%v", err)
+		}
+	case l.drv.NumActive() > 0:
 		pol := l.pol
 		if l.degraded {
 			pol = l.fbPol

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
 	"stretchsched/internal/core"
-	"stretchsched/internal/workload"
 )
 
 // guardConfig is an Online-EGDF daemon with the backlog guard armed at
@@ -149,100 +147,6 @@ func TestBacklogGuardCheckpointDeterminism(t *testing.T) {
 	if snapC.Counters.Switches != snapA.Counters.Switches {
 		t.Fatalf("switches: restored %d, uninterrupted %d",
 			snapC.Counters.Switches, snapA.Counters.Switches)
-	}
-}
-
-// TestBacklogGuardEveryCutRestore: for every submission after which a
-// guarded daemon is degraded, a daemon checkpointed there, restored and
-// fed the rest of the stream must write the uninterrupted decision log
-// byte for byte. The primary policy sits out every degraded event, so
-// when the guard hands back, Online-EGDF's ranks and Bender98's deadlines
-// must be re-solved for the live jobs, as a restored (fresh) policy
-// does, even though the live count is the one it last saw.
-func TestBacklogGuardEveryCutRestore(t *testing.T) {
-	for _, name := range []string{"Online-EGDF", "Bender98"} {
-		t.Run(name, func(t *testing.T) {
-			cuts, diverged := 0, 0
-			for seed := int64(1); seed <= 4; seed++ {
-				inst, err := workload.Config{
-					Sites: 3, Databanks: 4, Availability: 0.6, Density: 1.5,
-					TargetJobs: 30, Seed: seed,
-				}.Generate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, threshold := range []int{2, 3, 4, 6} {
-					mk := func(log io.Writer) Config {
-						sched, err := core.New(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return Config{
-							Platform: inst.Platform, Scheduler: sched,
-							DecisionLog: log, BacklogThreshold: threshold,
-						}
-					}
-					type cut struct {
-						next    int    // first job not yet submitted
-						ck      []byte // encoded checkpoint
-						logSize int    // log bytes written before it
-					}
-					var logA bytes.Buffer
-					loopA, err := New(mk(&logA))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var at []cut
-					for k := range inst.Jobs {
-						submitAll(t, loopA, inst.Jobs[k:k+1])
-						if !loopA.guardMode() {
-							continue
-						}
-						ck, err := loopA.Checkpoint()
-						if err != nil {
-							t.Fatal(err)
-						}
-						b, err := ck.Encode()
-						if err != nil {
-							t.Fatal(err)
-						}
-						at = append(at, cut{next: k + 1, ck: b, logSize: logA.Len()})
-					}
-					if err := loopA.Drain(); err != nil {
-						t.Fatal(err)
-					}
-					for _, c := range at {
-						logB := bytes.NewBuffer(append([]byte(nil), logA.Bytes()[:c.logSize]...))
-						ck, err := DecodeCheckpoint(c.ck)
-						if err != nil {
-							t.Fatal(err)
-						}
-						loopB, err := Restore(mk(logB), ck)
-						if err != nil {
-							t.Fatal(err)
-						}
-						submitAll(t, loopB, inst.Jobs[c.next:])
-						if err := loopB.Drain(); err != nil {
-							t.Fatal(err)
-						}
-						cuts++
-						if !bytes.Equal(logB.Bytes(), logA.Bytes()) {
-							diverged++
-							if diverged == 1 {
-								t.Errorf("seed %d threshold %d: restore after job %d diverges", seed, threshold, c.next)
-							}
-						}
-					}
-				}
-			}
-			if cuts == 0 {
-				t.Fatal("no submission left the loop degraded; test is vacuous")
-			}
-			t.Logf("%d restores from a degraded loop", cuts)
-			if diverged > 0 {
-				t.Errorf("%d of %d restores from a degraded loop diverge from the uninterrupted log", diverged, cuts)
-			}
-		})
 	}
 }
 

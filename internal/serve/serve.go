@@ -9,10 +9,13 @@
 // event instants, completions are committed at exactly the predicted
 // instants (ties in priority order), and every decision is appended to a
 // decision log whose byte content a checkpoint-restored daemon reproduces
-// exactly (see Checkpoint). The per-event re-optimisation keeps no solver
-// state across events, and its decision-relevant output is the optimal
-// stretch, a function of the live jobs alone, so a restored daemon
-// re-solving from the checkpointed jobs takes identical decisions.
+// exactly (see Checkpoint). Some policies decide by state that is not a
+// function of the live jobs: Online-EGDF and Bender98 re-solve only at
+// arrivals and keep their ranks and deadlines across completions, and
+// Bender02 and ST14 remember the alone times of completed jobs. A
+// checkpoint carries that state (sim.StatefulPolicy) and the running order
+// in effect, so a restored daemon takes identical decisions without
+// re-solving, also when the checkpoint falls between two events.
 package serve
 
 import (

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,17 +67,13 @@ func submitAll(t testing.TB, l *Loop, jobs []model.Job) {
 // policy's Init, which batch runs never do.
 func TestServeEveryPolicy(t *testing.T) {
 	jobs := testWorkload(t).Jobs[:8]
-	served := 0
-	for _, name := range core.Names() {
-		sched, err := core.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := sched.(core.PolicyBacked); !ok {
-			continue
-		}
+	names := policyBacked(t)
+	if len(names) == 0 {
+		t.Fatal("no registry policy is policy-backed")
+	}
+	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			loop, err := New(Config{Platform: testWorkload(t).Platform, Scheduler: sched})
+			loop, err := New(Config{Platform: testWorkload(t).Platform, Scheduler: mustNew(t, name)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,10 +89,6 @@ func TestServeEveryPolicy(t *testing.T) {
 				t.Fatalf("%d of %d jobs completed, %d panics", c.CompletedN, len(jobs), c.Panics)
 			}
 		})
-		served++
-	}
-	if served == 0 {
-		t.Fatal("no registry policy is policy-backed")
 	}
 }
 
@@ -143,11 +136,14 @@ func TestCheckpointRestoreDeterminism(t *testing.T) {
 	// Restored runs: decode from bytes (the full serialisation round trip),
 	// fresh workspace and scheduler, replay the second half. The second
 	// input carries the Session object of the warm-started solve session
-	// that exact serving used to checkpoint; decoding must ignore it.
+	// that exact serving used to checkpoint; decoding must ignore it. The
+	// third lacks the running order and policy state, as older checkpoints
+	// do: right after a submission, a fresh policy's replan takes the
+	// decision the interrupted one took.
 	for _, in := range []struct {
 		name string
 		enc  []byte
-	}{{"current", enc}, {"with-Session", withSession(t, enc)}} {
+	}{{"current", enc}, {"with-Session", withSession(t, enc)}, {"without-policy-state", without(t, enc, "Running", "PolicyState")}} {
 		t.Run(in.name, func(t *testing.T) {
 			dec, err := DecodeCheckpoint(in.enc)
 			if err != nil {
@@ -225,41 +221,68 @@ func withSession(t *testing.T, enc []byte) []byte {
 	return out
 }
 
-// TestRestoreRefusesUnreachableState edits one field of a real 6-job SWRPT
-// checkpoint at a time. Each edit is a state no daemon reaches, and Restore
-// must refuse it with CodeBadState; the unedited checkpoint restores.
+// without returns the encoded checkpoint with the named top-level fields
+// deleted; it fails the test when one is absent.
+func without(t *testing.T, enc []byte, fields ...string) []byte {
+	t.Helper()
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(enc, &top); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fields {
+		if _, ok := top[f]; !ok {
+			t.Fatalf("checkpoint has no %s field", f)
+		}
+		delete(top, f)
+	}
+	out, err := json.Marshal(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRestoreRefusesUnreachableState edits one field of a real 6-job
+// checkpoint at a time, of SWRPT unless the row names a stateful policy.
+// Each edit is a state no daemon reaches, and Restore must refuse it with
+// CodeBadState; every unedited checkpoint restores.
 func TestRestoreRefusesUnreachableState(t *testing.T) {
 	inst := testWorkload(t)
-	cfg := func() Config {
-		sched, err := core.New("SWRPT")
-		if err != nil {
-			t.Fatal(err)
+	cfg := func(name string) Config {
+		return Config{Platform: inst.Platform, Scheduler: mustNew(t, name)}
+	}
+	encoded := map[string][]byte{}
+	decode := func(name string) *Checkpoint {
+		if encoded[name] == nil {
+			loop, err := New(cfg(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			submitAll(t, loop, inst.Jobs[:6])
+			ck, err := loop.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if encoded[name], err = ck.Encode(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return Config{Platform: inst.Platform, Scheduler: sched}
-	}
-	loop, err := New(cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, loop, inst.Jobs[:6])
-	ck, err := loop.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := ck.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode := func() *Checkpoint {
-		ck, err := DecodeCheckpoint(enc)
+		ck, err := DecodeCheckpoint(encoded[name])
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ck
 	}
-	if _, err := Restore(cfg(), decode()); err != nil {
-		t.Fatalf("unedited checkpoint: %v", err)
+	for _, name := range []string{"SWRPT", "Online-EGDF", "Bender98", "Bender02", "ST14"} {
+		ck := decode(name)
+		if _, ok := ck.PolicyState[name]; !ok && name != "SWRPT" {
+			t.Fatalf("%s checkpoint carries no policy state", name)
+		}
+		if _, err := Restore(cfg(name), ck); err != nil {
+			t.Fatalf("unedited %s checkpoint: %v", name, err)
+		}
 	}
+	ck := decode("SWRPT")
 	// a and b are two live slots, b the one released last.
 	a, b := -1, -1
 	for i, sc := range ck.Slots {
@@ -275,24 +298,85 @@ func TestRestoreRefusesUnreachableState(t *testing.T) {
 	if b == -1 || !(ck.Slots[b].Release > 0) {
 		t.Fatalf("checkpoint needs two live slots, one released after 0: %+v", ck.Slots)
 	}
+	// state edits the named policy's state as a generic JSON object, then
+	// replaces each "NaN" string in it by a bare NaN, which JSON lacks.
+	state := func(name string, edit func(st map[string]any)) func(ck *Checkpoint) {
+		return func(ck *Checkpoint) {
+			var st map[string]any
+			if err := json.Unmarshal(ck.PolicyState[name], &st); err != nil {
+				t.Fatal(err)
+			}
+			edit(st)
+			b, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.PolicyState[name] = bytes.ReplaceAll(b, []byte(`"NaN"`), []byte("NaN"))
+		}
+	}
 	for _, row := range []struct {
-		name string
-		edit func(ck *Checkpoint)
+		name  string
+		sched string // "" = SWRPT
+		edit  func(ck *Checkpoint)
 	}{
-		{"negative clock", func(ck *Checkpoint) { ck.Now = -100 }},
-		{"infinite clock", func(ck *Checkpoint) { ck.Now = math.Inf(1) }},
-		{"clock before a live release", func(ck *Checkpoint) { ck.Now = ck.Slots[b].Release / 2 }},
-		{"remaining above size", func(ck *Checkpoint) { ck.Slots[a].Remaining = 1000 * ck.Slots[a].Size }},
-		{"negative remaining", func(ck *Checkpoint) { ck.Slots[a].Remaining = -1 }},
-		{"repeated seq", func(ck *Checkpoint) { ck.Slots[b].Seq = ck.Slots[a].Seq }},
-		{"seq at NextSeq", func(ck *Checkpoint) { ck.Slots[a].Seq = ck.NextSeq }},
-		{"stretch quantile target", func(ck *Checkpoint) { ck.QStretch[1].P = 0.5 }},
-		{"flow quantile target", func(ck *Checkpoint) { ck.QFlow[2].P = 0.9 }},
+		{"negative clock", "", func(ck *Checkpoint) { ck.Now = -100 }},
+		{"infinite clock", "", func(ck *Checkpoint) { ck.Now = math.Inf(1) }},
+		{"clock before a live release", "", func(ck *Checkpoint) { ck.Now = ck.Slots[b].Release / 2 }},
+		{"remaining above size", "", func(ck *Checkpoint) { ck.Slots[a].Remaining = 1000 * ck.Slots[a].Size }},
+		{"negative remaining", "", func(ck *Checkpoint) { ck.Slots[a].Remaining = -1 }},
+		{"repeated seq", "", func(ck *Checkpoint) { ck.Slots[b].Seq = ck.Slots[a].Seq }},
+		{"seq at NextSeq", "", func(ck *Checkpoint) { ck.Slots[a].Seq = ck.NextSeq }},
+		{"stretch quantile target", "", func(ck *Checkpoint) { ck.QStretch[1].P = 0.5 }},
+		{"flow quantile target", "", func(ck *Checkpoint) { ck.QFlow[2].P = 0.9 }},
+		{"running slot repeated", "", func(ck *Checkpoint) { ck.Running = append(ck.Running, ck.Running[0]) }},
+		{"running slot outside the slot table", "", func(ck *Checkpoint) { ck.Running[0] = model.JobID(len(ck.Slots)) }},
+		{"running slot not live", "", func(ck *Checkpoint) {
+			tomb := model.JobID(len(ck.Slots))
+			ck.Slots = append(ck.Slots, SlotCk{Name: "done", Size: 1})
+			ck.Free = append(ck.Free, tomb)
+			ck.Running = []model.JobID{tomb}
+		}},
+		{"running slot without a machine", "", func(ck *Checkpoint) {
+			// A live job the greedy rule starved: the running ones hold
+			// every machine it could use.
+			for i, sc := range ck.Slots {
+				if sc.Live && !slices.Contains(ck.Running, model.JobID(i)) {
+					ck.Running = append(ck.Running, model.JobID(i))
+					return
+				}
+			}
+			t.Fatal("checkpoint has no starved live job")
+		}},
+		{"state of a stateless policy", "", func(ck *Checkpoint) {
+			ck.PolicyState = map[string]json.RawMessage{"SWRPT": json.RawMessage(`{}`)}
+		}},
+		{"EGDF rank repeats a slot", "Online-EGDF", state("Online-EGDF", func(st map[string]any) {
+			rank := st["Rank"].([]any)
+			st["Rank"] = append(rank, rank[0])
+		})},
+		{"EGDF rank outside the slot table", "Online-EGDF", state("Online-EGDF", func(st map[string]any) {
+			st["Rank"].([]any)[0] = 1 << 20
+		})},
+		{"Bender98 NaN deadline", "Bender98", state("Bender98", func(st map[string]any) {
+			st["Deadline"].([]any)[0] = "NaN"
+		})},
+		{"Bender98 deadlines beyond the slot table", "Bender98", state("Bender98", func(st map[string]any) {
+			st["Deadline"] = append(st["Deadline"].([]any), make([]any, 1<<10)...)
+		})},
+		{"Bender02 alone time zero", "Bender02", state("Bender02", func(st map[string]any) { st["MinAlone"] = 0 })},
+		{"Bender02 min above max", "Bender02", state("Bender02", func(st map[string]any) {
+			st["MinAlone"] = 2 * st["MaxAlone"].(float64)
+		})},
+		{"ST14 alone time negative", "ST14", state("ST14", func(st map[string]any) { st["MinAlone"] = -1 })},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			ck := decode()
+			sched := row.sched
+			if sched == "" {
+				sched = "SWRPT"
+			}
+			ck := decode(sched)
 			row.edit(ck)
-			_, err := Restore(cfg(), ck)
+			_, err := Restore(cfg(sched), ck)
 			var rej *Rejection
 			if !errors.As(err, &rej) || rej.Code != CodeBadState {
 				t.Fatalf("err = %v, want %s", err, CodeBadState)

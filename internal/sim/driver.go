@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"stretchsched/internal/model"
 )
@@ -205,8 +207,8 @@ func (d *Driver) EstMaxStretch() float64 {
 
 // RestoreActive rebuilds the active set and per-slot state from a
 // checkpoint: ids must be the released, unfinished slots in ID order with
-// rem their remaining work. Everything else (rates, order) is rebuilt by
-// the next Replan.
+// rem their remaining work. The allocation is rebuilt by RestoreRunning or
+// by the next Replan.
 func (d *Driver) RestoreActive(ids []model.JobID, rem []float64) {
 	d.Sync()
 	for i := range d.ctx.Remaining {
@@ -221,4 +223,26 @@ func (d *Driver) RestoreActive(ids []model.JobID, rem []float64) {
 		d.ctx.Remaining[id] = rem[i]
 		d.ctx.addActive(id)
 	}
+}
+
+// RestoreRunning rebuilds a checkpointed allocation from its Running list,
+// the running jobs in priority order. The greedy rule over them alone
+// gives each the machines and rate the full order gave it, since the jobs
+// it skipped took no machine; so, unlike a Replan, it needs no policy and
+// holds between two events, where the policy might now rank otherwise. It
+// refuses a list naming a job twice, a job not active, or one that gets no
+// machine.
+func (d *Driver) RestoreRunning(running []model.JobID) error {
+	for i, j := range running {
+		if j < 0 || int(j) >= len(d.ctx.Released) || !d.ctx.Released[j] || slices.Contains(running[:i], j) {
+			return fmt.Errorf("sim: running job %d is not active or is listed twice", j)
+		}
+	}
+	d.running = AllocateGreedy(d.ctx.Inst, running, d.assign, d.rate, d.running[:0])
+	for _, j := range running {
+		if d.rate[j] == 0 {
+			return fmt.Errorf("sim: running job %d gets no machine", j)
+		}
+	}
+	return nil
 }

@@ -45,9 +45,10 @@ type Ctx struct {
 	Released  []bool
 	Done      []bool
 	// Arrivals counts the jobs that have entered the active set since the
-	// run started (engine) or the driver was built. It only grows, so a
-	// policy that remembers it sees every arrival since its last OnEvent,
-	// even when completions in between left the active count unchanged.
+	// run started (engine) or the driver was built; Driver.RestoreActive
+	// counts the restored jobs as arrivals. It only grows, so a policy
+	// that remembers it sees every arrival since its last OnEvent, even
+	// when completions in between left the active count unchanged.
 	// Hand-constructed contexts leave it 0.
 	Arrivals int
 
@@ -113,6 +114,24 @@ type Policy interface {
 	OnEvent(ctx *Ctx)
 	// Less reports whether a must be served strictly before b.
 	Less(ctx *Ctx, a, b model.JobID) bool
+}
+
+// StatefulPolicy is the optional hook of a policy whose decisions depend on
+// state it builds across events and the Ctx does not hold: Online-EGDF's
+// ranks, Bender98's deadlines, the alone times Bender02 and ST14 have seen.
+// The serving daemon's checkpoint carries that state, so a restored policy
+// decides as the interrupted one would have.
+type StatefulPolicy interface {
+	Policy
+	// State encodes the policy's state as one JSON value, or returns nil
+	// when the policy holds nothing a fresh Init does not. ctx is the
+	// context of the policy's run.
+	State(ctx *Ctx) ([]byte, error)
+	// RestoreState replaces the state of a freshly initialised policy with
+	// one State encoded. ctx is the restored context: it holds the live
+	// jobs of the encoding run, and its Arrivals counts only them. A state
+	// no run reaches is refused.
+	RestoreState(state []byte, ctx *Ctx) error
 }
 
 // relTol is the relative numeric tolerance of the engine.
