@@ -20,10 +20,10 @@
 //
 // Both drivers are available in two forms: the package-level functions
 // return a caller-owned schedule, while an Engine owns every buffer the
-// simulation needs (state vectors, the active set, the predicted
-// completion instants, the output schedule) and reuses them across
-// invocations, so the steady-state event loop of RunList performs no heap
-// allocation at all.
+// simulation needs (state vectors, the active set, the priority order it
+// keeps across events, the predicted completion instants, the output
+// schedule) and reuses them across invocations, so the steady-state event
+// loop of RunList performs no heap allocation at all.
 // Experiment harnesses that replay thousands of instances should hold one
 // Engine per worker; see DESIGN.md for the full design.
 package sim
@@ -143,10 +143,11 @@ const maxEvents = 10_000_000
 
 // Engine owns every buffer a simulation needs and reuses them across
 // invocations: after a warm-up run, the RunList event loop allocates
-// nothing. An Engine must not be used from multiple goroutines, and the
-// schedule returned by its Run methods is overwritten by the next call —
-// copy what must outlive it, or use the package-level functions, which
-// return caller-owned schedules.
+// nothing; within a run, RunList re-sorts one priority order in place
+// from event to event. An Engine must not be used from multiple
+// goroutines, and the schedule returned by its Run methods is overwritten
+// by the next call — copy what must outlive it, or use the package-level
+// functions, which return caller-owned schedules.
 type Engine struct {
 	st state
 }
@@ -178,7 +179,7 @@ func (e *Engine) RunList(inst *model.Instance, pol Policy) (*model.Schedule, err
 			continue
 		}
 		pol.OnEvent(&st.ctx)
-		st.order = append(st.order[:0], st.ctx.active...)
+		st.syncOrder()
 		st.sortOrder(pol)
 
 		st.allocate(st.order)
@@ -347,6 +348,9 @@ func priorityLess(pol Policy, ctx *Ctx, a, b model.JobID) bool {
 // SortByPriority sorts order in place by pol's strict order with ties
 // broken by job ID — the exact sequence the engine drivers use, exported
 // so external event loops (the serving daemon) rank jobs identically.
+// The result does not depend on the permutation order starts in, so a
+// caller may keep order across events and pass it back nearly sorted, as
+// Engine.RunList does; only the number of comparisons changes.
 // slices.SortFunc is generic — no reflect-based swapper, and the
 // comparison closure does not escape — so unlike sort.SliceStable it
 // allocates nothing (enforced by TestRunListSteadyStateAllocs).
@@ -372,6 +376,24 @@ func SortByPriority(pol Policy, ctx *Ctx, order []model.JobID) {
 			return 0
 		}
 	})
+}
+
+// syncOrder brings the persistent priority order up to the active set:
+// completed jobs leave it and released ones join at its end, so the next
+// sort starts from the last event's order, in which only the running
+// jobs' keys have moved. Releases come in ID order, so the jobs it lacks
+// are the tail of the ID-ordered active set.
+//
+//stretch:noalloc
+func (st *state) syncOrder() {
+	k := 0
+	for _, j := range st.order {
+		if !st.ctx.Done[j] {
+			st.order[k] = j
+			k++
+		}
+	}
+	st.order = append(st.order[:k], st.ctx.active[k:]...)
 }
 
 //stretch:noalloc

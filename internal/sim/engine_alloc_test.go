@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -170,36 +171,100 @@ func referenceRunList(inst *model.Instance, pol Policy) (*model.Schedule, error)
 	}
 }
 
-// TestRunListMatchesReference replays random instances through the
-// incremental engine and the straight-line reference implementation. The
+// oraclePolicies returns fresh instances of the test policies the engine
+// is checked against referenceRunList under: a static order (fcfs), orders
+// whose keys move only for running jobs (srpt, lpt), one that reorders
+// idle jobs as time passes (stretchFirst), ones that reverse the whole
+// order between events (oddReverse, flipflop), and a static order opposite
+// to the ID order the active set is kept in (reverseID).
+func oraclePolicies() []Policy {
+	return []Policy{fcfs{}, srpt{}, stretchFirst{}, &oddReverse{}, lpt{}, &flipflop{}, reverseID{}}
+}
+
+// matchReference runs inst under pol through eng and referenceRunList. The
 // predicted completion instants are computed once per rate change instead
-// of per event,
-// which can move completions by float-rounding dust, so agreement is
-// checked to a relative 1e-9 — far tighter than the engine's own tolerance.
+// of per event, which can move completions by float-rounding dust, so
+// agreement is checked to a relative 1e-9 — far tighter than the engine's
+// own tolerance. The engine's schedule must also be valid.
+func matchReference(t testing.TB, label string, eng *Engine, inst *model.Instance, pol Policy) {
+	t.Helper()
+	want, err := referenceRunList(inst, pol)
+	if err != nil || want == nil {
+		t.Fatalf("%s %s: reference failed", label, pol.Name())
+	}
+	got, err := eng.RunList(inst, pol)
+	if err != nil {
+		t.Fatalf("%s %s: %v", label, pol.Name(), err)
+	}
+	for j := range want.Completion {
+		w, g := want.Completion[j], got.Completion[j]
+		if math.Abs(w-g) > 1e-9*(1+math.Abs(w)) {
+			t.Fatalf("%s %s: job %d completes at %v, reference %v", label, pol.Name(), j, g, w)
+		}
+	}
+	if err := got.Validate(inst, 1e-6); err != nil {
+		t.Fatalf("%s %s: %v", label, pol.Name(), err)
+	}
+}
+
+// TestRunListMatchesReference replays random instances through the
+// incremental engine and the straight-line reference implementation.
 func TestRunListMatchesReference(t *testing.T) {
 	eng := NewEngine()
 	for trial := int64(0); trial < 30; trial++ {
 		inst := randomInstance(t, 1000+trial, 1+int(trial%5), 1+int(trial%3), 3+int(trial*7%50))
-		for _, pol := range []Policy{fcfs{}, srpt{}} {
-			want, err := referenceRunList(inst, pol)
-			if err != nil || want == nil {
-				t.Fatalf("trial %d: reference failed", trial)
-			}
-			got, err := eng.RunList(inst, pol)
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, pol.Name(), err)
-			}
-			for j := range want.Completion {
-				w, g := want.Completion[j], got.Completion[j]
-				if math.Abs(w-g) > 1e-9*(1+math.Abs(w)) {
-					t.Fatalf("trial %d %s: job %d completes at %v, reference %v",
-						trial, pol.Name(), j, g, w)
-				}
-			}
-			if err := got.Validate(inst, 1e-6); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, pol.Name(), err)
-			}
+		for _, pol := range oraclePolicies() {
+			matchReference(t, fmt.Sprintf("trial %d", trial), eng, inst, pol)
 		}
+	}
+}
+
+// FuzzRunListReference is TestRunListMatchesReference over drawn seeds,
+// machine, bank and job counts, and test policies.
+func FuzzRunListReference(f *testing.F) {
+	for i := range oraclePolicies() {
+		f.Add(int64(i), uint8(i), uint8(i), uint8(5+9*i), uint8(i))
+	}
+	eng := NewEngine()
+	f.Fuzz(func(t *testing.T, seed int64, machines, banks, jobs, pol uint8) {
+		pols := oraclePolicies()
+		inst := randomInstance(t, seed, 1+int(machines%6), 1+int(banks%4), 1+int(jobs%64))
+		matchReference(t, fmt.Sprintf("seed %d", seed), eng, inst, pols[int(pol)%len(pols)])
+	})
+}
+
+// countingSWRPT is SWRPT (smallest p*_j·ρ_j(t)/speed first) counting its
+// Less calls.
+type countingSWRPT struct{ calls int }
+
+func (p *countingSWRPT) Name() string         { return "counting-swrpt" }
+func (p *countingSWRPT) Init(*model.Instance) {}
+func (p *countingSWRPT) OnEvent(*Ctx)         {}
+func (p *countingSWRPT) Less(ctx *Ctx, a, b model.JobID) bool {
+	p.calls++
+	return ctx.Inst.AloneTime(a)*ctx.RemainingAloneTime(a) < ctx.Inst.AloneTime(b)*ctx.RemainingAloneTime(b)
+}
+
+// TestRunListLessBudget bounds the comparisons of a run. n jobs released
+// together on one machine give n events, and between two of them only the
+// running job's key moves, so the priority order the engine keeps is
+// nearly sorted at every event and checking it costs about 2n Less calls.
+// Rebuilding the order from the ID-ordered active set at every event costs
+// a full sort each time, about 5·n² calls over this run.
+func TestRunListLessBudget(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(5))
+	jobs := make([]model.Job, n)
+	for j := range jobs {
+		jobs[j] = model.Job{Size: 0.5 + rng.Float64()*8}
+	}
+	inst := uniInstance(t, []float64{1}, jobs)
+	pol := &countingSWRPT{}
+	if _, err := NewEngine().RunList(inst, pol); err != nil {
+		t.Fatal(err)
+	}
+	if pol.calls > 2*n*n {
+		t.Fatalf("%d Less calls over %d jobs, budget 2·n² = %d", pol.calls, n, 2*n*n)
 	}
 }
 
@@ -211,7 +276,7 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 	sizes := []int{40, 3, 25, 1, 60, 7}
 	for i, nj := range sizes {
 		inst := randomInstance(t, 7000+int64(i), 2+i%4, 1+i%3, nj)
-		for _, pol := range []Policy{fcfs{}, srpt{}} {
+		for _, pol := range oraclePolicies() {
 			fresh, err := RunList(inst, pol)
 			if err != nil {
 				t.Fatal(err)

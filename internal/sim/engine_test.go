@@ -33,6 +33,35 @@ func (srpt) Less(ctx *Ctx, a, b model.JobID) bool {
 	return ctx.RemainingAloneTime(a) < ctx.RemainingAloneTime(b)
 }
 
+// stretchFirst serves the largest current stretch (Now − r_j)/p*_j first,
+// as Bender02's pseudo-stretch does. Jobs age at different rates, so jobs
+// that did not run swap places as Now advances.
+type stretchFirst struct{}
+
+func (stretchFirst) Name() string         { return "stretch-first" }
+func (stretchFirst) Init(*model.Instance) {}
+func (stretchFirst) OnEvent(*Ctx)         {}
+func (stretchFirst) Less(ctx *Ctx, a, b model.JobID) bool {
+	sa := (ctx.Now - ctx.Inst.Jobs[a].Release) / ctx.Inst.AloneTime(a)
+	sb := (ctx.Now - ctx.Inst.Jobs[b].Release) / ctx.Inst.AloneTime(b)
+	return sa > sb
+}
+
+// oddReverse is SRPT whenever the active count is even and its reverse
+// whenever it is odd, so the order an event starts from is often the
+// opposite of the one it must reach.
+type oddReverse struct{ odd bool }
+
+func (p *oddReverse) Name() string         { return "odd-reverse" }
+func (p *oddReverse) Init(*model.Instance) { p.odd = false }
+func (p *oddReverse) OnEvent(ctx *Ctx)     { p.odd = len(ctx.Active())%2 == 1 }
+func (p *oddReverse) Less(ctx *Ctx, a, b model.JobID) bool {
+	if p.odd {
+		a, b = b, a
+	}
+	return ctx.RemainingAloneTime(a) < ctx.RemainingAloneTime(b)
+}
+
 func uniInstance(t *testing.T, speeds []float64, jobs []model.Job) *model.Instance {
 	t.Helper()
 	p, err := model.Uniform(speeds)
